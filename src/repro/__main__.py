@@ -356,19 +356,22 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_load(args) -> int:
-    from repro.load import render_report, run_load
+    from repro.load import LoadInputError, render_report, run_load
 
     label = " (--quick)" if args.quick else ""
     print(f"driving the sharded KDC{label}...\n")
-    report = run_load(
-        shards=args.shards, clients=args.clients, requests=args.requests,
-        workers_per_shard=args.workers, seed=args.seed,
-        faults=not args.no_faults, quick=args.quick, out_path=args.out,
-        interarrival_us=args.interarrival, principals=args.principals,
-        zipf_s=args.zipf, diurnal=args.diurnal,
-        scaling_curve=args.scaling_curve,
-        crypto_backend=args.crypto_backend,
-    )
+    try:
+        report = run_load(
+            shards=args.shards, clients=args.clients, requests=args.requests,
+            workers_per_shard=args.workers, seed=args.seed,
+            faults=not args.no_faults, quick=args.quick, out_path=args.out,
+            interarrival_us=args.interarrival, principals=args.principals,
+            zipf_s=args.zipf, diurnal=args.diurnal,
+            scaling_curve=args.scaling_curve,
+        )
+    except LoadInputError as exc:
+        print(f"load: {exc}", file=sys.stderr)
+        return 2
     print(render_report(report))
     probe = report["replay_probe"]
     ok = probe["attempted"] == 0 or probe["rejected"] == probe["attempted"]
@@ -376,17 +379,23 @@ def _cmd_load(args) -> int:
 
 
 def _cmd_monitor(args) -> int:
+    from repro.load import LoadInputError
     from repro.monitor import measure_overhead, render_monitor, run_monitor
 
     label = " (--quick)" if args.quick else ""
     print(f"monitoring the sharded KDC{label}...\n")
-    report = run_monitor(
-        shards=args.shards, clients=args.clients, requests=args.requests,
-        workers_per_shard=args.workers, seed=args.seed,
-        faults=not args.no_faults, quick=args.quick,
-        interarrival_us=args.interarrival, sample_every=args.sample_every,
-        top_n=args.top, chrome_trace_path=args.emit_chrome_trace,
-    )
+    try:
+        report = run_monitor(
+            shards=args.shards, clients=args.clients, requests=args.requests,
+            workers_per_shard=args.workers, seed=args.seed,
+            faults=not args.no_faults, quick=args.quick,
+            interarrival_us=args.interarrival,
+            sample_every=args.sample_every, top_n=args.top,
+            chrome_trace_path=args.emit_chrome_trace,
+        )
+    except LoadInputError as exc:
+        print(f"monitor: {exc}", file=sys.stderr)
+        return 2
     print(render_monitor(report))
     ok = not report["traces"]["problems"]
     if args.overhead_guard is not None:
@@ -658,13 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scaling-curve", action="store_true",
         help="scale mode: sweep the full shards x workers grid instead "
              "of the default compact one",
-    )
-    load.add_argument(
-        "--crypto-backend", choices=["table", "bitslice"], default="table",
-        help="cost model for KDC seal/unseal work: the table-driven "
-             "fast path, or batched bitsliced lanes at the conservative "
-             "per-block-op cost the crack benchmark's CI floor "
-             "guarantees (default: table)",
     )
     load.add_argument(
         "--out", default="BENCH_kdc.json", metavar="PATH",

@@ -98,7 +98,6 @@ WALL_BUDGET_FILES: FrozenSet[str] = frozenset({
     "src/repro/perf.py",
     "src/repro/load.py",
     "src/repro/monitor.py",
-    "src/repro/serve/scale.py",
     "src/repro/crack.py",
 })
 

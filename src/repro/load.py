@@ -24,22 +24,27 @@ rather than silently absorbed (the coordinated-omission mistake load
 tools warn about) — and under the scheduler that is no retrofit: the
 heap *is* the calendar.
 
-Two modes share one report schema (``repro-bench-kdc/3``):
+Two modes, one report (``repro-bench-kdc/3``).  Both serve from the
+same :class:`repro.serve.cluster.Shard` (a worker pool plus its replay
+cache), fail over by the same rule
+(:func:`repro.serve.sharding.attempt_order`), and hand a
+:class:`LoadRun` to the one gauge set and the one report builder
+below:
 
 * **Engine mode** (default): every exchange runs the real Kerberos
   message machinery — real DES, real codecs, real replay caches — with
   worker-pool queueing stalling the serving event.
-* **Scale mode** (``--principals N``): the same cluster topology and
-  real replay caches driven by a calibrated event model, which is what
-  makes 10^5–10^6 principals with Zipfian popularity and diurnal
-  arrival curves tractable in one process (see
-  :mod:`repro.serve.scale`).  Always includes a shards×workers
-  scaling-curve sweep; ``--scaling-curve`` widens the grid.
+* **Scale mode** (``--principals N``): the same shards driven by a
+  calibrated event model, which is what makes 10^5–10^6 principals
+  with Zipfian popularity and diurnal arrival curves tractable in one
+  process (see :mod:`repro.serve.scale`).  Always includes a
+  shards×workers scaling-curve sweep; ``--scaling-curve`` widens the
+  grid.
 
-Everything in the report except the wall-clock figures is a pure
-function of the parameters and seed — including across processes: two
-invocations with the same arguments produce byte-identical
-non-wall-clock fields.
+Inputs are checked once, here, for both modes.  Everything in the
+report except the wall-clock figures is a pure function of the
+parameters and seed — including across processes: two invocations with
+the same arguments produce byte-identical non-wall-clock fields.
 """
 
 from __future__ import annotations
@@ -47,21 +52,28 @@ from __future__ import annotations
 import json
 import platform
 import time
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Protocol, Sequence,
+)
 
 from repro.kerberos.client import KerberosError, RetryPolicy
 from repro.kerberos.config import ProtocolConfig
-from repro.kerberos.messages import ERR_REPLAY, ERR_UNAVAILABLE, unframe
+from repro.kerberos.messages import (
+    ERR_REPLAY, ERR_UNAVAILABLE, decode_error, unframe,
+)
 from repro.obs.metrics import Histogram, MetricsRegistry, MetricsSink
 from repro.obs.timeseries import LogHistogram, TickSampler
 from repro.obs.trace import Tracer
-from repro.sim.clock import MILLISECOND, SECOND
+from repro.serve.cluster import Shard
+from repro.serve.pool import DEFAULT_US_PER_BLOCK_OP
+from repro.sim.clock import MILLISECOND, SECOND, SimClock
 from repro.sim.network import Endpoint, NetworkError
 from repro.sim.sched import Scheduler, wait
 from repro.sim.workload import DiurnalCurve, open_loop_arrivals
 from repro.testbed import Testbed
 
-__all__ = ["run_load", "render_report"]
+__all__ = ["run_load", "render_report", "LoadInputError", "LoadRun"]
 
 #: Mean time between unit arrivals on the open-loop calendar.  A unit
 #: costs ~5.3ms of simulated wire time (21 transits at 250us), so 6ms
@@ -75,6 +87,75 @@ REPLAY_PROBES = 5
 
 #: Engine-mode unit count when ``requests`` is not given.
 DEFAULT_REQUESTS = 240
+
+
+class LoadInputError(ValueError):
+    """A load-harness parameter is out of range (the CLI exits 2)."""
+
+
+class Frontend(Protocol):
+    """What the gauges and the report read from a cluster, either mode:
+    :class:`repro.serve.cluster.KdcCluster` or the scale model."""
+
+    realm: str
+    requests: Dict[str, int]
+    failovers: int
+    unavailable: int
+
+    @property
+    def shards(self) -> Sequence[Shard]: ...
+
+
+@dataclass
+class LoadRun:
+    """What one run of either mode measured: the report builder's input."""
+
+    frontend: Frontend
+    sched: Scheduler
+    sampler: TickSampler
+    workload: Dict[str, Any]
+    latency_us: Dict[str, Dict[str, int]]   # unit, as, tgs, ap summaries
+    completed: int
+    errors: Dict[str, int]
+    sim_elapsed_us: int
+    fault_window: Optional[Dict[str, int]]
+    client_retries: int
+    probe: Dict[str, int]
+    metrics: Dict[str, Any] = field(default_factory=dict)
+    scaling_curve: Optional[Dict[str, Any]] = None
+
+
+def fault_window(faults: bool, requests: int,
+                 shards: int) -> Optional[Dict[str, int]]:
+    """The scripted outage: shard 1 down for the middle third of the
+    calendar (``None`` when faults are off or the run is too short)."""
+    if not faults or requests < 3:
+        return None
+    return {"shard": 1 % shards, "first_op": requests // 3,
+            "last_op": (2 * requests) // 3 - 1}
+
+
+def cluster_sampler(clock: SimClock, frontend: Frontend,
+                    client_retries: Callable[[], int],
+                    tick_us: int) -> TickSampler:
+    """The tick-sampled gauge set both modes report, one reading per
+    *tick_us* of simulated time."""
+    sampler = TickSampler(clock, tick_us=max(1, tick_us))
+    for shard in frontend.shards:
+        pool, cache = shard.pool, shard.replay_cache
+        name = f"shard{shard.index}"
+        sampler.gauge(f"{name}.queue_depth",
+                      lambda p=pool: p.queue_depth(clock.now()))
+        sampler.gauge(f"{name}.util_pct", pool.utilization_pct)
+        sampler.gauge(f"{name}.replay_entries", lambda c=cache: len(c))
+    sampler.gauge(
+        "cluster.replay_evictions",
+        lambda: sum(s.replay_cache.evictions for s in frontend.shards),
+    )
+    sampler.gauge("cluster.tgs_failovers", lambda: frontend.failovers)
+    sampler.gauge("cluster.unavailable", lambda: frontend.unavailable)
+    sampler.gauge("cluster.client_retries", client_retries)
+    return sampler
 
 
 def _summary(histogram: Histogram) -> Dict[str, Any]:
@@ -109,7 +190,6 @@ def run_load(
     zipf_s: float = 1.1,
     diurnal: bool = False,
     scaling_curve: bool = False,
-    crypto_backend: str = "table",
 ) -> Dict[str, Any]:
     """Drive the sharded KDC and return (optionally write) the report.
 
@@ -124,61 +204,165 @@ def run_load(
     ``diurnal``, a sinusoidal arrival-rate curve, driven through the
     calibrated event model of :mod:`repro.serve.scale`.
 
-    ``crypto_backend`` selects the worker-pool cost model: ``"table"``
-    charges :data:`repro.serve.pool.DEFAULT_US_PER_BLOCK_OP` per DES
-    block operation, ``"bitslice"`` the cheaper
-    :data:`repro.serve.pool.BITSLICE_US_PER_BLOCK_OP` that models a KDC
-    batching its seal/unseal work through
-    :mod:`repro.crypto.des_bitslice` lanes.  Both are deterministic
-    constants (the report must stay a pure function of parameters and
-    seed), floor-justified by the measured ratio in
-    ``BENCH_crack.json`` — see ``docs/performance.md``.
-
-    Pass a :class:`repro.obs.trace.Tracer` to record every exchange as
-    a causal span chain (``python -m repro monitor`` does); afterwards
-    it rides along as ``report["_tracer"]``.  The tick-sampled gauge
-    series likewise comes back as ``report["_sampler"]``; both keys are
-    attached *after* the JSON is written, so the file stays pure data.
+    Out-of-range inputs raise :class:`LoadInputError` before anything
+    runs.  Pass a :class:`repro.obs.trace.Tracer` to record every
+    engine-mode exchange as a causal span chain (``python -m repro
+    monitor`` does); afterwards it rides along as ``report["_tracer"]``.
+    The tick-sampled gauge series likewise comes back as
+    ``report["_sampler"]``; both keys are attached *after* the JSON is
+    written, so the file stays pure data.
     """
-    from repro.serve.pool import BACKEND_US_PER_BLOCK_OP
+    for bad, problem in (
+        (shards < 2, "the load harness needs a sharded bed (shards >= 2)"),
+        (requests is not None and requests < 1, "requests must be >= 1"),
+        (workers_per_shard < 1, "workers per shard must be >= 1"),
+        (interarrival_us is not None and interarrival_us < 1,
+         "interarrival must be >= 1us"),
+        (principals is not None and principals < 1,
+         "principals must be >= 1"),
+        (clients < 1, "clients must be >= 1"),
+        (zipf_s <= 0, "the zipf exponent must be > 0"),
+    ):
+        if bad:
+            raise LoadInputError(problem)
 
-    if crypto_backend not in BACKEND_US_PER_BLOCK_OP:
-        raise ValueError(
-            f"unknown crypto backend {crypto_backend!r}; expected one of "
-            f"{sorted(BACKEND_US_PER_BLOCK_OP)}"
+    wall_start = time.perf_counter()
+    if principals is None:
+        if requests is None:
+            requests = DEFAULT_REQUESTS
+        if interarrival_us is None:
+            interarrival_us = DEFAULT_INTERARRIVAL_US
+        if quick:
+            clients = min(clients, 4)
+            requests = min(requests, 36)
+        run = _run_engine(
+            shards, clients, requests, workers_per_shard, seed, faults,
+            replay_cache_capacity, interarrival_us, config, tracer, diurnal,
         )
-    us_per_block_op = BACKEND_US_PER_BLOCK_OP[crypto_backend]
+    else:
+        from repro.serve import scale
 
-    if principals is not None:
-        from repro.serve.scale import run_scale_model
-
-        return run_scale_model(
-            principals=principals, shards=shards, requests=requests,
-            workers_per_shard=workers_per_shard, seed=seed, faults=faults,
-            quick=quick, out_path=out_path,
-            replay_cache_capacity=replay_cache_capacity,
-            interarrival_us=interarrival_us, zipf_s=zipf_s,
-            diurnal=diurnal, scaling_curve=scaling_curve,
-            crypto_backend=crypto_backend,
+        if requests is None:
+            requests = (scale.DEFAULT_QUICK_REQUESTS if quick
+                        else scale.DEFAULT_SCALE_REQUESTS)
+        if interarrival_us is None:
+            interarrival_us = scale.DEFAULT_SCALE_INTERARRIVAL_US
+        if quick:
+            requests = min(requests, scale.DEFAULT_QUICK_REQUESTS)
+        run = scale.run_scale_model(
+            principals, shards, requests, workers_per_shard, seed, faults,
+            replay_cache_capacity, interarrival_us, zipf_s, diurnal,
+            scaling_curve,
         )
+    wall_elapsed = time.perf_counter() - wall_start
 
-    if requests is None:
-        requests = DEFAULT_REQUESTS
-    if interarrival_us is None:
-        interarrival_us = DEFAULT_INTERARRIVAL_US
-    if quick:
-        clients = min(clients, 4)
-        requests = min(requests, 36)
-    if shards < 2:
-        raise ValueError("the load harness needs a sharded bed (shards >= 2)")
+    report = _report(run, quick, wall_elapsed, {
+        "shards": shards,
+        "clients": clients if principals is None else principals,
+        "requests": requests,
+        "workers_per_shard": workers_per_shard,
+        "seed": seed,
+        "faults": faults,
+        "replay_cache_capacity": replay_cache_capacity,
+        "interarrival_us": interarrival_us,
+        "protocol": "v5-draft3+replay-cache" if config is None else "custom",
+        "us_per_block_op": DEFAULT_US_PER_BLOCK_OP,
+    })
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as handle:
+            json.dump(report, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        report["written_to"] = out_path
+    # Live objects ride along for the monitor; attached after the JSON
+    # dump so the file on disk stays pure data.
+    report["_sampler"] = run.sampler
+    if tracer is not None:
+        report["_tracer"] = tracer
+    return report
 
+
+def _report(run: LoadRun, quick: bool, wall_elapsed: float,
+            config: Dict[str, Any]) -> Dict[str, Any]:
+    """The ``repro-bench-kdc/3`` report, the same builder for both modes."""
+    frontend = run.frontend
+    # Per-shard queueing percentiles, plus the cluster-wide fold (the
+    # LogHistogram merge is associative, so the fold order is free).
+    cluster_wait = LogHistogram()
+    cluster_service = LogHistogram()
+    queueing_shards: List[Dict[str, Any]] = []
+    for shard in frontend.shards:
+        pool = shard.pool
+        cluster_wait.merge(pool.wait_histogram)
+        cluster_service.merge(pool.service_histogram)
+        queueing_shards.append({
+            "shard": shard.index,
+            "queue_wait_us": pool.wait_histogram.summary(),
+            "service_us": pool.service_histogram.summary(),
+            "utilization_pct": pool.utilization_pct(),
+        })
+
+    completed, sim_elapsed_us = run.completed, run.sim_elapsed_us
+    report: Dict[str, Any] = {
+        "schema": "repro-bench-kdc/3",
+        "quick": quick,
+        "python": platform.python_version(),
+        "config": config,
+        "workload": run.workload,
+        "latency_us": run.latency_us,
+        "throughput": {
+            "completed": completed,
+            "failed": sum(run.errors.values()),
+            "sim_seconds": round(sim_elapsed_us / SECOND, 6),
+            "ops_per_sim_s": round(completed * SECOND / sim_elapsed_us, 2)
+            if sim_elapsed_us else 0.0,
+            # Wall-clock figures are informational, not deterministic.
+            "wall_seconds": round(wall_elapsed, 3),
+            "ops_per_wall_s": round(completed / wall_elapsed, 1)
+            if wall_elapsed else 0.0,
+        },
+        "degradation": {
+            "fault_window": run.fault_window,
+            "client_retries": run.client_retries,
+            "tgs_failovers": frontend.failovers,
+            "unavailable_replies": frontend.unavailable,
+            "errors": dict(sorted(run.errors.items())),
+        },
+        "queueing": {
+            "per_shard": queueing_shards,
+            "cluster_queue_wait_us": cluster_wait.summary(),
+            "cluster_service_us": cluster_service.summary(),
+        },
+        "scheduler": run.sched.stats(),
+        "timeseries": run.sampler.summaries(),
+        "replay_probe": run.probe,
+        "cluster": {
+            "realm": frontend.realm,
+            "shards": len(frontend.shards),
+            "requests": dict(frontend.requests),
+            "failovers": frontend.failovers,
+            "unavailable": frontend.unavailable,
+            "per_shard": [shard.stats() for shard in frontend.shards],
+        },
+        "metrics": run.metrics,
+    }
+    if run.scaling_curve is not None:
+        report["scaling_curve"] = run.scaling_curve
+    return report
+
+
+def _run_engine(
+    shards: int, clients: int, requests: int, workers_per_shard: int,
+    seed: int, faults: bool, replay_cache_capacity: int,
+    interarrival_us: int, config: Optional[ProtocolConfig],
+    tracer: Optional[Tracer], diurnal: bool,
+) -> LoadRun:
+    """Engine mode: every unit runs the real protocol on a testbed."""
     protocol = config if config is not None else \
         ProtocolConfig.v5_draft3().but(replay_cache=True)
     bed = Testbed(
         protocol, seed=seed, shards=shards,
         workers_per_shard=workers_per_shard,
         replay_cache_capacity=replay_cache_capacity,
-        us_per_block_op=us_per_block_op,
     )
     registry = MetricsRegistry()
     bed.bus.subscribe(MetricsSink(registry))
@@ -193,31 +377,9 @@ def run_load(
     assert cluster is not None
     retry_policy = RetryPolicy(max_retries=2, backoff_base=20 * MILLISECOND)
     sched = Scheduler(bed.clock)
-
-    # Tick-sampled gauges, once per interarrival of simulated time.
-    sampler = TickSampler(bed.clock, tick_us=max(1, interarrival_us))
-    for shard in cluster.shards:
-        pool, cache = shard.pool, shard.replay_cache
-        sampler.gauge(
-            f"shard{shard.index}.queue_depth",
-            lambda p=pool: p.queue_depth(bed.clock.now()),
-        )
-        sampler.gauge(
-            f"shard{shard.index}.util_pct",
-            lambda p=pool: p.utilization_pct(),
-        )
-        sampler.gauge(
-            f"shard{shard.index}.replay_entries", lambda c=cache: len(c)
-        )
-    sampler.gauge(
-        "cluster.replay_evictions",
-        lambda: sum(s.replay_cache.evictions for s in cluster.shards),
-    )
-    sampler.gauge("cluster.tgs_failovers", lambda: cluster.failovers)
-    sampler.gauge("cluster.unavailable", lambda: cluster.unavailable)
-    sampler.gauge(
-        "cluster.client_retries",
-        lambda: registry.counter("request_retries").value(),
+    sampler = cluster_sampler(
+        bed.clock, cluster,
+        lambda: registry.counter("request_retries").value(), interarrival_us,
     )
 
     # Open-loop arrival calendar, fixed before any traffic flows.
@@ -230,20 +392,14 @@ def run_load(
         calendar_rng, requests, interarrival_us, diurnal=curve, start=first,
     ))
 
-    fault_window: Optional[Dict[str, int]] = None
-    victim = cluster.shards[1 % len(cluster.shards)]
-    fault_from, fault_until = requests // 3, (2 * requests) // 3
-    if faults and requests >= 3:
-        fault_window = {"shard": victim.index, "first_op": fault_from,
-                        "last_op": fault_until - 1}
-
+    window = fault_window(faults, requests, shards)
     unit_latency = Histogram("unit_latency_us")
     phase_latency = {name: Histogram(f"{name}_latency_us")
                      for name in ("as", "tgs", "ap")}
     counters = {"completed": 0, "tgs_seen_at_restore": 0}
     errors: Dict[str, int] = {}
 
-    def unit_process(op: int, intended: int):
+    def unit_process(op: int, intended: int) -> Iterator[Any]:
         """One workload unit as a scheduler process: AS, then TGS, then
         AP, yielding between phases so each phase's requests enter the
         worker pools in global virtual-time order."""
@@ -281,34 +437,30 @@ def run_load(
         except NetworkError:
             errors["network"] = errors.get("network", 0) + 1
 
-    def fail_victim() -> None:
-        bed.network.fail_host(victim.host.address)
-
-    def restore_victim() -> None:
-        bed.network.restore_host(victim.host.address)
+    def restore_victim(address: str) -> None:
+        bed.network.restore_host(address)
         counters["tgs_seen_at_restore"] = len(
             bed.adversary.recorded(service="tgs", direction="request")
         )
 
-    wall_start = time.perf_counter()
     sim_start = bed.clock.now()
 
     # Fault timers go on the heap before the arrival processes: at an
     # equal timestamp FIFO tie-breaking then fires the outage/restore
     # *before* the unit that defines the window boundary, matching the
     # op-index semantics the fault window advertises.
-    if fault_window is not None:
-        sched.at(arrivals[fault_from], fail_victim)
-        sched.at(arrivals[fault_until], restore_victim)
+    if window is not None:
+        victim = cluster.shards[window["shard"]].host.address
+        sched.at(arrivals[window["first_op"]],
+                 lambda: bed.network.fail_host(victim))
+        sched.at(arrivals[window["last_op"] + 1],
+                 lambda: restore_victim(victim))
     for op, intended in enumerate(arrivals):
         sched.spawn(unit_process(op, intended), at_time=intended)
 
     sched.run()
     sampler.tick()  # final reading at end-of-run state
-
-    completed = counters["completed"]
     sim_elapsed_us = bed.clock.now() - sim_start
-    wall_elapsed = time.perf_counter() - wall_start
 
     # -- replay probe: the acceptance property, measured in-band --------
     # Re-inject recorded TGS requests byte-for-byte.  Only post-restore
@@ -333,101 +485,32 @@ def run_load(
         )
         is_error, body = unframe(protocol, reply)
         probe["attempted"] += 1
-        if is_error:
-            from repro.kerberos.messages import decode_error
+        if is_error and decode_error(protocol, body)["code"] == ERR_REPLAY:
+            probe["rejected"] += 1
+    if tracer is not None:
+        bed.bus.tracer = None
 
-            if decode_error(protocol, body)["code"] == ERR_REPLAY:
-                probe["rejected"] += 1
-
-    # Per-shard queueing percentiles, plus the cluster-wide fold (the
-    # LogHistogram merge is associative, so the fold order is free).
-    cluster_wait = LogHistogram()
-    cluster_service = LogHistogram()
-    queueing_shards: List[Dict[str, Any]] = []
-    for shard in cluster.shards:
-        pool = shard.pool
-        cluster_wait.merge(pool.wait_histogram)
-        cluster_service.merge(pool.service_histogram)
-        queueing_shards.append({
-            "shard": shard.index,
-            "queue_wait_us": pool.wait_histogram.summary(),
-            "service_us": pool.service_histogram.summary(),
-            "utilization_pct": pool.utilization_pct(),
-        })
-
-    report: Dict[str, Any] = {
-        "schema": "repro-bench-kdc/3",
-        "quick": quick,
-        "python": platform.python_version(),
-        "config": {
-            "shards": shards,
-            "clients": clients,
-            "requests": requests,
-            "workers_per_shard": workers_per_shard,
-            "seed": seed,
-            "faults": faults,
-            "replay_cache_capacity": replay_cache_capacity,
-            "interarrival_us": interarrival_us,
-            "protocol": "v5-draft3+replay-cache" if config is None
-            else "custom",
-            "crypto_backend": crypto_backend,
-            "us_per_block_op": us_per_block_op,
-        },
-        "workload": {
+    return LoadRun(
+        frontend=cluster, sched=sched, sampler=sampler,
+        workload={
             "mode": "engine",
             "principals": {"total": clients, "materialized": clients},
             "zipf_s": None,
             "diurnal": bool(diurnal),
         },
-        "latency_us": {
+        latency_us={
             "unit": _summary(unit_latency),
             "as": _summary(phase_latency["as"]),
             "tgs": _summary(phase_latency["tgs"]),
             "ap": _summary(phase_latency["ap"]),
         },
-        "throughput": {
-            "completed": completed,
-            "failed": sum(errors.values()),
-            "sim_seconds": round(sim_elapsed_us / SECOND, 6),
-            "ops_per_sim_s": round(completed * SECOND / sim_elapsed_us, 2)
-            if sim_elapsed_us else 0.0,
-            # Wall-clock figures are informational, not deterministic.
-            "wall_seconds": round(wall_elapsed, 3),
-            "ops_per_wall_s": round(completed / wall_elapsed, 1)
-            if wall_elapsed else 0.0,
-        },
-        "degradation": {
-            "fault_window": fault_window,
-            # From the bus-fed registry: retries by clients the harness
-            # never got back (failed logins) are still counted.
-            "client_retries": registry.counter("request_retries").value(),
-            "tgs_failovers": cluster.failovers,
-            "unavailable_replies": cluster.unavailable,
-            "errors": dict(sorted(errors.items())),
-        },
-        "queueing": {
-            "per_shard": queueing_shards,
-            "cluster_queue_wait_us": cluster_wait.summary(),
-            "cluster_service_us": cluster_service.summary(),
-        },
-        "scheduler": sched.stats(),
-        "timeseries": sampler.summaries(),
-        "replay_probe": probe,
-        "cluster": cluster.stats(),
-        "metrics": registry.snapshot(),
-    }
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        report["written_to"] = out_path
-    # Live objects ride along for the monitor; attached after the JSON
-    # dump so the file on disk stays pure data.
-    report["_sampler"] = sampler
-    if tracer is not None:
-        report["_tracer"] = tracer
-        bed.bus.tracer = None
-    return report
+        completed=counters["completed"], errors=errors,
+        sim_elapsed_us=sim_elapsed_us, fault_window=window,
+        # From the bus-fed registry: retries by clients the harness
+        # never got back (failed logins) are still counted.
+        client_retries=registry.counter("request_retries").value(),
+        probe=probe, metrics=registry.snapshot(),
+    )
 
 
 def render_report(report: Dict[str, Any]) -> str:
@@ -447,12 +530,6 @@ def render_report(report: Dict[str, Any]) -> str:
         f"clients over {cfg['shards']} shards "
         f"({cfg['workers_per_shard']} workers each, seed {cfg['seed']})",
     ]
-    backend = cfg.get("crypto_backend")
-    if backend:
-        lines.append(
-            f"crypto model     {backend} "
-            f"({cfg['us_per_block_op']}us per DES block op)"
-        )
     principals = workload.get("principals")
     if workload.get("mode") == "model" and principals:
         lines.append(

@@ -30,7 +30,8 @@ frontend's internal hop raise :class:`repro.sim.network.NetworkError`.
 For AS requests there is no replica holding the user's key, so the
 client gets a framed ``ERR_UNAVAILABLE`` and is expected to retry with
 backoff (:class:`repro.kerberos.client.RetryPolicy`).  For TGS requests
-the frontend *fails over* to the next healthy shard — correct for
+the frontend *fails over* to the next healthy shard
+(:func:`repro.serve.sharding.attempt_order`) — correct for
 issuance (TGS keys are replicated) but deliberately honest about the
 cost: the replayed-authenticator dedup domain shifts with the route, so
 during a failover window a replay can land on a cache that never saw
@@ -49,7 +50,7 @@ tracer attached the only cost is one attribute read per request.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.crypto.des import BLOCK_OPS, get_schedule
 from repro.crypto.keys import string_to_key
@@ -65,14 +66,15 @@ from repro.kerberos.realm import RealmDirectory
 from repro.kerberos.validation import LruReplayCache
 from repro.obs.bus import EventBus
 from repro.obs.events import ShardUnavailable
-from repro.serve.pool import DEFAULT_US_PER_BLOCK_OP, WorkerPool
-from repro.serve.sharding import shard_of
+from repro.serve.pool import WorkerPool
+from repro.serve.sharding import attempt_order, shard_of
 from repro.sim.clock import SimClock
 from repro.sim.host import Host
 from repro.sim.network import Endpoint, Network, NetworkError, WireMessage
 
 __all__ = [
-    "ClusterDatabase", "ShardServer", "KdcCluster", "TracedReplayCache",
+    "ClusterDatabase", "Shard", "ShardServer", "KdcCluster",
+    "TracedReplayCache",
 ]
 
 
@@ -209,17 +211,19 @@ class ClusterDatabase:
         return sorted(merged.items())
 
 
-class ShardServer:
-    """One shard: a host, its database slice, a full Kdc, and a pool."""
+class Shard:
+    """One shard's serving state: a worker pool and its replay cache.
 
-    def __init__(
-        self, index: int, host: Host, database: KdcDatabase, kdc: Kdc,
-        replay_cache: LruReplayCache, pool: WorkerPool,
-    ) -> None:
+    Both modes of the load harness serve from this type and print its
+    :meth:`stats`: engine mode through :class:`ShardServer`, which adds
+    the real protocol machinery, and scale mode
+    (:mod:`repro.serve.scale`) directly, charging calibrated costs.
+    """
+
+    def __init__(self, index: int, address: str,
+                 replay_cache: LruReplayCache, pool: WorkerPool) -> None:
         self.index = index
-        self.host = host
-        self.database = database
-        self.kdc = kdc
+        self.address = address
         self.replay_cache = replay_cache
         self.pool = pool
         self.served: Dict[str, int] = {AS_SERVICE: 0, TGS_SERVICE: 0}
@@ -228,7 +232,7 @@ class ShardServer:
     def stats(self) -> Dict[str, object]:
         return {
             "shard": self.index,
-            "address": self.host.address,
+            "address": self.address,
             "served": dict(self.served),
             "failover_serves": self.failover_serves,
             "replay_cache": {
@@ -239,6 +243,19 @@ class ShardServer:
             },
             "pool": self.pool.stats(),
         }
+
+
+class ShardServer(Shard):
+    """An engine-mode shard: a host, its database slice, and a full Kdc."""
+
+    def __init__(
+        self, index: int, host: Host, database: KdcDatabase, kdc: Kdc,
+        replay_cache: LruReplayCache, pool: WorkerPool,
+    ) -> None:
+        super().__init__(index, host.address, replay_cache, pool)
+        self.host = host
+        self.database = database
+        self.kdc = kdc
 
 
 class KdcCluster:
@@ -264,7 +281,6 @@ class KdcCluster:
         shard_addresses: List[str],
         workers_per_shard: int = 2,
         replay_capacity: int = 4096,
-        us_per_block_op: Optional[float] = None,
     ) -> None:
         if len(shard_addresses) < 1:
             raise ValueError("a cluster needs at least one shard address")
@@ -297,15 +313,10 @@ class KdcCluster:
                 rng.fork(f"kdc:{realm}:shard{index}"),
                 directory=directory, replay_cache=cache,
             )
-            pool = WorkerPool(
-                workers_per_shard,
-                us_per_block_op=(DEFAULT_US_PER_BLOCK_OP
-                                 if us_per_block_op is None
-                                 else us_per_block_op),
-            )
-            self.shards.append(
-                ShardServer(index, host, shard_db, kdc, cache, pool)
-            )
+            self.shards.append(ShardServer(
+                index, host, shard_db, kdc, cache,
+                WorkerPool(workers_per_shard),
+            ))
 
         # Shard Kdcs each registered themselves as the realm's KDC while
         # constructing; the frontend's registration (last) wins, so
@@ -367,12 +378,8 @@ class KdcCluster:
             )
         # AS requests have exactly one shard that can serve them (the
         # user's key is not replicated); TGS requests may fail over.
-        if service == TGS_SERVICE:
-            order = [(primary + k) % len(self.shards)
-                     for k in range(len(self.shards))]
-        else:
-            order = [primary]
-
+        order = attempt_order(primary, len(self.shards),
+                              failover=service == TGS_SERVICE)
         for position, index in enumerate(order):
             shard = self.shards[index]
             ops_before = BLOCK_OPS.count
@@ -462,16 +469,6 @@ class KdcCluster:
 
     def shard_for_principal(self, principal: Principal) -> ShardServer:
         return self.shards[self.database.home_shard(principal)]
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "realm": self.realm,
-            "shards": len(self.shards),
-            "requests": dict(self.requests),
-            "failovers": self.failovers,
-            "unavailable": self.unavailable,
-            "per_shard": [shard.stats() for shard in self.shards],
-        }
 
     # Convenience aggregates mirroring the single-Kdc counters.
 

@@ -5,16 +5,19 @@ its request arrives — so CPU contention on a busy KDC would otherwise be
 invisible.  This module makes it visible the same way the rest of the
 reproduction handles time: as explicit, deterministic bookkeeping.
 
-Each shard owns a :class:`WorkerPool` of N virtual workers.  When the
-frontend dispatches a request it reports the request's *measured* DES
-cost (the :data:`repro.crypto.des.BLOCK_OPS` delta across the handler,
-so the accounting automatically tracks the PR-2 fast path and the
-config's cipher choices) and the pool answers the queueing question:
-given when this request arrived and when a worker next comes free, when
-would it actually have started and finished?  The excess over the
-synchronous handling time is the *queueing penalty* the load harness
-folds into its latency percentiles — this is what makes p99 diverge
-from p50 as offered load approaches pool capacity.
+Each shard (:class:`repro.serve.cluster.Shard`) owns a
+:class:`WorkerPool` of N virtual workers, in both modes of the load
+harness.  When the engine frontend dispatches a request it reports the
+request's *measured* DES cost (the :data:`repro.crypto.des.BLOCK_OPS`
+delta across the handler, so the accounting automatically tracks the
+table-driven fast path and the config's cipher choices); the scale
+model (:mod:`repro.serve.scale`) reports the calibrated per-service
+count instead.  The pool answers the queueing question: given when
+this request arrived and when a worker next comes free, when would it
+actually have started and finished?  The excess over the synchronous
+handling time is the *queueing penalty* the load harness folds into
+its latency percentiles — this is what makes p99 diverge from p50 as
+offered load approaches pool capacity.
 
 Arrival times: the pool's free-times and the arrivals it is offered
 live on the simulation's virtual timeline.  Under the discrete-event
@@ -65,23 +68,6 @@ DEFAULT_BATCH_OVERHEAD_US = 30
 DEFAULT_BATCH_WINDOW_US = 500
 #: Marginal cost per DES block operation on the table-driven fast path.
 DEFAULT_US_PER_BLOCK_OP = 2.0
-
-#: Marginal cost per block operation when the KDC batches its seal/unseal
-#: work through the bitsliced backend (``--crypto-backend bitslice``).
-#: This is a *deterministic model constant*, not a measurement: virtual
-#: time must stay a pure function of the parameters and seed (the sim
-#: lint family's double-run witness asserts byte-identical reports), so
-#: the harness cannot calibrate it from the wall clock at runtime.  The
-#: value is the conservative floor the CI crack leg enforces — bitsliced
-#: lanes at least 4x the table path on batch shapes (the measured ratio
-#: in ``BENCH_crack.json`` is far higher; see docs/performance.md).
-BITSLICE_US_PER_BLOCK_OP = DEFAULT_US_PER_BLOCK_OP / 4.0
-
-#: CLI names for the two cost models.
-BACKEND_US_PER_BLOCK_OP = {
-    "table": DEFAULT_US_PER_BLOCK_OP,
-    "bitslice": BITSLICE_US_PER_BLOCK_OP,
-}
 
 
 class WorkerPool:

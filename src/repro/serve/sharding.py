@@ -24,14 +24,17 @@ an adversary who can choose authenticator bytes can choose their shard,
 which only lets them pick which replay cache remembers them.  It is the
 same polynomial as :mod:`repro.crypto.crc` (and ``zlib.crc32``), cheap,
 and stable across runs, which is what deterministic benchmarks need.
+
+When the primary shard is down, :func:`attempt_order` is the one
+failover rule both the engine frontend and the scale model follow.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Union
+from typing import List, Union
 
-__all__ = ["shard_of"]
+__all__ = ["shard_of", "attempt_order"]
 
 
 def shard_of(key: Union[str, bytes], shards: int) -> int:
@@ -40,3 +43,17 @@ def shard_of(key: Union[str, bytes], shards: int) -> int:
         raise ValueError("shard count must be at least 1")
     data = key.encode("utf-8") if isinstance(key, str) else key
     return zlib.crc32(data) % shards
+
+
+def attempt_order(primary: int, shards: int, failover: bool) -> List[int]:
+    """The shards one request tries, in order.
+
+    Without *failover* the request is pinned to *primary*: an AS
+    request needs the user's key, which only its home shard holds.
+    With it the request walks the ring from *primary*: TGS keys are
+    replicated, so any healthy shard can serve (at the cost of the
+    replay-cache affinity the routing above buys).
+    """
+    if not failover:
+        return [primary]
+    return [(primary + k) % shards for k in range(shards)]

@@ -27,11 +27,12 @@ clock with scheduling against it:
   event.  The scheduler folds each event's elapsed time back in when
   the dispatching process next sleeps.
 
-Timers are cancellable (``Timer.cancel()``), which is what shard
-failover needs: the "declare this request lost" failsafe dies the
-moment the retry succeeds.  Stats (events processed, heap high-water
-mark, timers cancelled) surface in ``python -m repro serve`` and the
-load report so the scheduler itself is observable.
+Timers are cancellable in O(1) (``Timer.cancel()``): the heap entry
+stays behind with its callback dropped and is skipped when popped, so
+a timeout that is usually disarmed before it fires costs one heap push
+and no search.  Stats (events processed, heap high-water mark, timers
+cancelled) surface in ``python -m repro serve`` and the load report so
+the scheduler itself is observable.
 """
 
 from __future__ import annotations

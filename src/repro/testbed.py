@@ -58,7 +58,6 @@ class Realm:
         self, testbed: "Testbed", name: str, kdc_address: str,
         shards: int = 0, workers_per_shard: int = 2,
         replay_cache_capacity: int = 4096,
-        us_per_block_op: Optional[float] = None,
     ):
         self.name = name
         self.testbed = testbed
@@ -77,7 +76,6 @@ class Realm:
                 ],
                 workers_per_shard=workers_per_shard,
                 replay_capacity=replay_cache_capacity,
-                us_per_block_op=us_per_block_op,
             )
             self.database = self.cluster.database
             self.kdc_host = self.cluster.frontend_host
@@ -129,7 +127,6 @@ class Testbed:
         shards: int = 0,
         workers_per_shard: int = 2,
         replay_cache_capacity: int = 4096,
-        us_per_block_op: Optional[float] = None,
     ):
         self.config = config if config is not None else ProtocolConfig.v4()
         self.rng = DeterministicRandom(seed)
@@ -144,10 +141,6 @@ class Testbed:
         self._shards = shards
         self._workers_per_shard = workers_per_shard
         self._replay_cache_capacity = replay_cache_capacity
-        # Worker-pool cost model for clustered realms (None = the pools'
-        # table-path default; repro.serve.pool.BITSLICE_US_PER_BLOCK_OP
-        # models batched bitsliced seal/unseal).
-        self._us_per_block_op = us_per_block_op
         self.realms: Dict[str, Realm] = {}
         self.servers: Dict[str, AppServer] = {}
         self.realm = self.add_realm(realm)
@@ -160,7 +153,6 @@ class Testbed:
             shards=self._shards,
             workers_per_shard=self._workers_per_shard,
             replay_cache_capacity=self._replay_cache_capacity,
-            us_per_block_op=self._us_per_block_op,
         )
         self.realms[name] = realm
         return realm

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from repro.load import run_load
+from repro.load import LoadInputError, run_load
 
 QUICK = dict(quick=True, shards=2, seed=0, out_path=None)
 
@@ -178,50 +178,38 @@ def test_cli_serve_prints_topology(capsys):
     assert "shard 1" in stdout
 
 
-def test_bitslice_backend_lowers_service_times(quick_report):
-    """--crypto-backend bitslice swaps in the cheaper deterministic
-    per-block-op cost: every service-time percentile drops and the
-    config records the resolved model, same schema throughout."""
-    sliced = run_load(**{**QUICK, "crypto_backend": "bitslice"})
-    assert quick_report["config"]["crypto_backend"] == "table"
-    assert quick_report["config"]["us_per_block_op"] == 2.0
-    assert sliced["config"]["crypto_backend"] == "bitslice"
-    assert sliced["config"]["us_per_block_op"] == 0.5
-    assert sliced["schema"] == quick_report["schema"]
-    table_svc = quick_report["queueing"]["cluster_service_us"]
-    sliced_svc = sliced["queueing"]["cluster_service_us"]
-    assert sliced_svc["p50"] < table_svc["p50"]
-    assert sliced_svc["p99"] <= table_svc["p99"]
-    # Same workload, same seed: the cost model changes time, not work.
-    assert sliced["throughput"]["completed"] \
-        == quick_report["throughput"]["completed"]
+BAD_INPUTS = [
+    {"requests": 0}, {"requests": -3}, {"workers_per_shard": 0},
+    {"interarrival_us": 0}, {"shards": 1}, {"clients": 0},
+    {"principals": 0}, {"zipf_s": 0.0},
+]
 
 
-def test_bitslice_backend_is_deterministic():
-    first = run_load(**{**QUICK, "crypto_backend": "bitslice"})
-    second = run_load(**{**QUICK, "crypto_backend": "bitslice"})
-    def strip(r):
-        return json.dumps(
-            {k: v for k, v in r.items()
-             if not k.startswith("_") and k != "throughput"},
-            sort_keys=True)
-
-    assert strip(first) == strip(second)
-    assert first["throughput"]["completed"] == second["throughput"]["completed"]
-
-
-def test_scale_mode_bitslice_backend_raises_capacity():
-    table = run_load(quick=True, shards=2, principals=2000, out_path=None)
-    sliced = run_load(quick=True, shards=2, principals=2000, out_path=None,
-                      crypto_backend="bitslice")
-    assert sliced["config"]["crypto_backend"] == "bitslice"
-    assert sliced["scaling_curve"]["unit_cpu_us"] \
-        < table["scaling_curve"]["unit_cpu_us"]
+@pytest.mark.parametrize("mode", [{}, {"principals": 2000}],
+                         ids=["engine", "scale"])
+@pytest.mark.parametrize("bad", BAD_INPUTS, ids=str)
+def test_bad_inputs_rejected_before_running(mode, bad, tmp_path):
+    """Both modes share one up-front input check: nothing runs and no
+    report is written for an out-of-range parameter."""
+    out = tmp_path / "BENCH_kdc.json"
+    with pytest.raises(LoadInputError):
+        run_load(**{"out_path": str(out), **mode, **bad})
+    assert not out.exists()
 
 
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        run_load(**{**QUICK, "crypto_backend": "quantum"})
-    with pytest.raises(ValueError):
-        run_load(quick=True, shards=2, principals=2000, out_path=None,
-                 crypto_backend="quantum")
+@pytest.mark.parametrize("argv", [
+    ["load", "--requests", "-3"],
+    ["load", "--principals", "2000", "--workers", "0"],
+    ["load", "--interarrival", "0"],
+    ["monitor", "--requests", "-3"],
+])
+def test_cli_bad_input_exits_two_with_one_line(argv, tmp_path, capsys,
+                                              monkeypatch):
+    from repro.__main__ import main
+
+    monkeypatch.chdir(tmp_path)  # a report written by mistake lands here
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(argv[0] + ": ")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())

@@ -19,7 +19,7 @@ from repro.kerberos.messages import (
 from repro.kerberos.principal import Principal
 from repro.kerberos.validation import LruReplayCache
 from repro.obs.bus import capture
-from repro.serve import ClusterDatabase, KdcCluster, shard_of
+from repro.serve import ClusterDatabase, attempt_order, shard_of
 from repro.sim.network import Endpoint
 
 REPLAY_CONFIG = ProtocolConfig.v5_draft3().but(replay_cache=True)
@@ -112,6 +112,19 @@ def test_shard_of_is_deterministic_and_in_range():
             assert 0 <= shard_of(key, n) < n
     with pytest.raises(ValueError):
         shard_of("x", 0)
+
+
+def test_attempt_order_pins_as_and_walks_the_ring_for_tgs():
+    # AS: the user's key lives only on its home shard, so no failover.
+    assert attempt_order(2, 4, failover=False) == [2]
+    # TGS: keys are replicated; walk the ring starting at the primary.
+    assert attempt_order(2, 4, failover=True) == [2, 3, 0, 1]
+    assert attempt_order(0, 3, failover=True) == [0, 1, 2]
+    for shards in (2, 3, 5):
+        for primary in range(shards):
+            order = attempt_order(primary, shards, failover=True)
+            assert order[0] == primary
+            assert sorted(order) == list(range(shards))
 
 
 # -- replay affinity ----------------------------------------------------
