@@ -10,29 +10,32 @@ CBC, the propagation behaviour of PCBC, and so on.
 
 The implementation follows FIPS 46-3: initial/final permutations, 16
 Feistel rounds with the E expansion, the eight S-boxes, the P
-permutation, and the PC-1/PC-2 key schedule.  Two standard software-DES
-optimisations are fused at import time, neither of which changes the
-function computed:
+permutation, and the PC-1/PC-2 key schedule.  IP, FP, E, P and the key
+schedule only *select* bits, so each is compiled at import into lookup
+tables built from one mask per input bit (:func:`_subset_table`).  None
+of this changes the function computed:
 
-* the S-boxes and P permutation are combined into eight 64-entry "SP"
-  tables, then paired into four 4096-entry tables, so each round's
-  substitution+permutation is four lookups;
-* the initial and final permutations are compiled into 8×256
-  byte-indexed tables (:func:`_build_byte_tables`), and the E expansion
-  disappears entirely — E maps each S-box input to six *contiguous* bits
-  of a 34-bit wraparound of R, so the round function is pure shifts,
-  masks, XORs, and SP-table hits.
+* the Feistel state is the pair of *E-expanded* 48-bit halves.  IP's
+  byte tables emit ``(E(L) << 48) | E(R)`` directly, and since
+  ``E(L ⊕ f) = E(L) ⊕ E(f)`` a round is one XOR with the 48-bit round
+  key and four lookups in tables that fuse an S-box pair, P and E;
+* on the way out one shared 4096-entry table maps each 12-bit field of
+  an E-form half back to the byte it carries, ahead of the 8×256 FP
+  byte tables;
+* the key schedule is eight byte-table lookups: each key byte's share
+  of all 16 round keys is precomputed as one 768-bit integer.
 
-The per-bit path the tables replace is retained verbatim in
-:mod:`repro.crypto.des_reference`; property tests cross-check the two on
-the FIPS/Rivest vectors and on random keys and blocks.
+The per-bit path the tables replace — block function and key schedule —
+is retained in :mod:`repro.crypto.des_reference`; property tests
+cross-check the two on the FIPS/Rivest vectors and on random keys and
+blocks.
 
 Key schedules are memoised in a bounded module-level cache
 (:func:`get_schedule`): the protocol layers encrypt and decrypt under
 the same handful of keys thousands of times per scenario (a ticket is
 sealed by the KDC, unsealed by the server, its session key reused for
-every KRB_PRIV message), and deriving the 16 subkeys costs more than
-encrypting a block.
+every KRB_PRIV message), so most block operations find their 16 round
+keys already derived.
 
 Verified against the FIPS / Rivest test vectors in
 ``tests/test_crypto_des.py``.
@@ -42,8 +45,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from typing import Dict, List, Sequence, Tuple
-
-from repro.crypto.bits import bytes_to_int, permute, rotate_left
 
 __all__ = [
     "BLOCK_SIZE",
@@ -216,105 +217,141 @@ SEMIWEAK_KEYS = frozenset(
 
 
 # --- precompiled fast-path tables ------------------------------------------
+#
+# IP, FP, E, P and the key schedule only *select* bits, so a table
+# indexed by several of their input bits is the OR of what each set bit
+# selects on its own: every table below is built from per-bit masks.
 
 
-def _build_sp_tables() -> Tuple[Tuple[int, ...], ...]:
-    """Fuse each S-box with the P permutation.
+def _selection_masks(table: Sequence[int], width_in: int) -> List[int]:
+    """Invert a FIPS-style bit selection into one mask per input bit.
 
-    ``SP[i][v]`` is the 32-bit contribution of S-box *i* applied to 6-bit
-    input *v*, already run through P.  The round function then reduces to
-    eight table lookups and XORs.
-    """
-    tables: List[Tuple[int, ...]] = []
-    for box_index, box in enumerate(_SBOXES):
-        entries = []
-        for v in range(64):
-            row = ((v >> 5) << 1) | (v & 1)
-            col = (v >> 1) & 0xF
-            s_out = box[row * 16 + col]
-            # Place the 4-bit output in its slot of the 32-bit pre-P word.
-            pre_p = s_out << (4 * (7 - box_index))
-            entries.append(permute(pre_p, 32, _P))
-        tables.append(tuple(entries))
-    return tuple(tables)
-
-
-_SP = _build_sp_tables()
-
-
-def _build_byte_tables(table: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
-    """Compile a 64->64 bit permutation into 8×256 byte-indexed tables.
-
-    ``T[i][b]`` is the permuted output contribution of input byte *i*
-    holding value *b*; each output bit has exactly one source bit, so the
-    full permutation is the OR of the eight per-byte contributions.
+    *table* lists, for each output bit (most significant first), the
+    1-based input bit that supplies it.  ``masks[j]`` has a bit set at
+    every output position that copies input bit ``j + 1``; input bits
+    that feed nothing (the key parity bits) get 0.
     """
     width = len(table)
-    tables: List[Tuple[int, ...]] = []
-    for byte_index in range(8):
-        entries = []
-        for value in range(256):
-            acc = 0
-            for out_pos, src in enumerate(table):
-                src_byte, src_bit = divmod(src - 1, 8)
-                if src_byte == byte_index and (value >> (7 - src_bit)) & 1:
-                    acc |= 1 << (width - 1 - out_pos)
-            entries.append(acc)
-        tables.append(tuple(entries))
-    return tuple(tables)
+    masks = [0] * width_in
+    for out_pos, src in enumerate(table):
+        masks[src - 1] |= 1 << (width - 1 - out_pos)
+    return masks
 
 
-_IP_TAB = _build_byte_tables(_IP)
-_FP_TAB = _build_byte_tables(_FP)
+def _subset_table(masks: Sequence[int]) -> Tuple[int, ...]:
+    """``T[v]`` is the OR of ``masks[j]`` over the set bits *j* of *v*.
 
-#: The SP tables paired up: ``_SPP[i][(a << 6) | b]`` is
-#: ``_SP[2i][a] ^ _SP[2i+1][b]``, so a round needs four lookups instead
-#: of eight.  16K entries, built once at import.
-_SPP = tuple(
-    tuple(_SP[2 * i][v >> 6] ^ _SP[2 * i + 1][v & 0x3F] for v in range(4096))
-    for i in range(4)
+    Bit *j* counts from the most significant of ``len(masks)`` index
+    bits.  Each entry is one OR on an earlier one:
+    ``T[v] = T[v & (v - 1)] | masks[lowest set bit of v]``.
+    """
+    width = len(masks)
+    entries = [0] * (1 << width)
+    for value in range(1, 1 << width):
+        low = value & -value
+        entries[value] = entries[value ^ low] | masks[width - low.bit_length()]
+    return tuple(entries)
+
+
+def _byte_tables(table: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+    """Compile a bit selection from 64 input bits into 8×256 byte tables:
+    ``T[i][b]`` is what input byte *i* holding *b* contributes."""
+    masks = _selection_masks(table, 64)
+    return tuple(_subset_table(masks[8 * i:8 * i + 8]) for i in range(8))
+
+
+def _schedule_selection() -> Tuple[int, ...]:
+    """The key bit behind each of the 768 bits of the 16 round keys.
+
+    PC-1 loads C and D, each round rotates them left, and PC-2 reads the
+    round key out: index arithmetic only, run once on bit positions.
+    """
+    c, d = list(_PC1[:28]), list(_PC1[28:])
+    selection: List[int] = []
+    for shift in _SHIFTS:
+        c = c[shift:] + c[:shift]
+        d = d[shift:] + d[:shift]
+        cd = c + d
+        selection.extend(cd[src - 1] for src in _PC2)
+    return tuple(selection)
+
+
+#: The E-form of a 32-bit half is its 48-bit E expansion.  ``_IP_TAB``
+#: runs IP and expands both halves in the same OR: its eight byte
+#: contributions sum to ``(E(L) << 48) | E(R)``.
+_IP_TAB = _byte_tables(
+    [_IP[src - 1] for src in _E] + [_IP[32 + src - 1] for src in _E]
 )
+_FP_TAB = _byte_tables(_FP)
 
-#: E-expansion eliminator.  E feeds S-box *i* the six contiguous bits
-#: 4i-1 .. 4i+4 of R (wrapping), so over the 34-bit wraparound word
-#: ``w = R32 · R1..R32 · R1`` an S-box *pair* reads ten contiguous bits.
-#: ``_ECAT`` spreads those ten bits into the 12-bit pair index (the two
-#: middle bits are shared between the boxes — that is the whole content
-#: of E): the round function becomes shifts, masks, XORs and table hits,
-#: with no expansion step at all.
-_ECAT = tuple(((v >> 4) << 6) | (v & 0x3F) for v in range(1024))
+#: ``_KS_TAB[i][b]``: key byte *i* holding *b*, contributing to all 16
+#: round keys at once — round key *r* (from 0) sits at bits
+#: ``48 * (15 - r)`` of one 768-bit integer.
+_KS_TAB = _byte_tables(_schedule_selection())
+_KS_SHIFTS = tuple(48 * (15 - r) for r in range(16))
+_MASK48 = (1 << 48) - 1
+
+
+def _build_spe_tables() -> Tuple[Tuple[int, ...], ...]:
+    """S-boxes, P and E fused, S-boxes in pairs.
+
+    ``SPE[i][(a << 6) | b]`` is ``E(P(S[2i](a) ⊕ S[2i+1](b)))``: the
+    E-form of what S-box pair *i* adds to the other half.  E and P only
+    select bits, so E∘P is one selection from the 32-bit S-box output
+    word, and each S-box's 4-bit output indexes a 16-entry slice of it.
+    """
+    ep_masks = _selection_masks([_P[src - 1] for src in _E], 32)
+    single: List[List[int]] = []
+    for index, box in enumerate(_SBOXES):
+        nibble = _subset_table(ep_masks[4 * index:4 * index + 4])
+        single.append([
+            nibble[box[(((v >> 5) << 1) | (v & 1)) * 16 + ((v >> 1) & 0xF)]]
+            for v in range(64)
+        ])
+    return tuple(
+        tuple(a ^ b for a in single[2 * i] for b in single[2 * i + 1])
+        for i in range(4)
+    )
+
+
+_SPE = _build_spe_tables()
+
+#: E-form back to plain.  S-box pair *i* reads twelve E bits copied from
+#: half bits 8i..8i+9 (FIPS numbering, bit 0 meaning bit 32), which
+#: cover byte *i*.  Every pair lays them out alike, so one 4096-entry
+#: table maps any 12-bit field to its byte; each byte bit is read from
+#: the first field position that copies it.
+_UNE = _subset_table([
+    1 << (8 - src) if 1 <= src <= 8 and _E.index(src) == pos else 0
+    for pos, src in enumerate(_E[:12])
+])
 
 #: Per-byte popcount-parity (1 = odd number of set bits).  Python 3.9 has
-#: no ``int.bit_count``; one 256-entry table serves both parity helpers.
+#: no ``int.bit_count``.
 _PARITY = tuple(bin(value).count("1") & 1 for value in range(256))
+
+#: ``bytes.translate`` table: each byte with its low bit set for odd parity.
+_ODD_PARITY = bytes(
+    (value & 0xFE) | (_PARITY[value & 0xFE] ^ 1) for value in range(256)
+)
 
 
 def derive_subkeys(key: bytes) -> Tuple[int, ...]:
     """Run the FIPS 46 key schedule, returning 16 48-bit round keys.
 
     Parity bits (the least significant bit of each key byte) are ignored,
-    exactly as in the standard.
+    exactly as in the standard.  Eight byte-table lookups give all 16
+    round keys packed in one integer; see :data:`_KS_TAB`.
     """
     if len(key) != KEY_SIZE:
         raise DesError(f"DES key must be {KEY_SIZE} bytes, got {len(key)}")
-    permuted = permute(bytes_to_int(key), 64, _PC1)
-    c = permuted >> 28
-    d = permuted & 0xFFFFFFF
-    subkeys = []
-    for shift in _SHIFTS:
-        c = rotate_left(c, shift, 28)
-        d = rotate_left(d, shift, 28)
-        subkeys.append(permute((c << 28) | d, 56, _PC2))
-    return tuple(subkeys)
-
-
-def _split_rounds(subkeys: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
-    """Pre-split each 48-bit round key into four 12-bit S-box-pair chunks,
-    matching the paired ``_SPP`` tables."""
-    return tuple(
-        tuple((subkey >> (36 - 12 * i)) & 0xFFF for i in range(4))
-        for subkey in subkeys
+    ks = _KS_TAB
+    packed = (
+        ks[0][key[0]] | ks[1][key[1]] | ks[2][key[2]] | ks[3][key[3]]
+        | ks[4][key[4]] | ks[5][key[5]] | ks[6][key[6]] | ks[7][key[7]]
     )
+    mask = _MASK48
+    return tuple([(packed >> shift) & mask for shift in _KS_SHIFTS])
 
 
 class _OpCounter:
@@ -332,14 +369,13 @@ class _OpCounter:
 BLOCK_OPS = _OpCounter()
 
 
-def _crypt_block(block: bytes, rounds: Sequence[Sequence[int]]) -> bytes:
-    """One block operation over pre-split round keys, all table-driven.
+def _crypt_block(block: bytes, subkeys: Sequence[int]) -> bytes:
+    """One block operation, all table-driven, over E-form halves.
 
-    The Feistel round works on the 34-bit wraparound word ``w`` (R bit
-    32, bits 1..32, bit 1 again, FIPS numbering): each ``_ECAT`` slice
-    is one S-box pair's E-expanded input, XORed against 12 pre-split key
-    bits and resolved through one paired ``_SPP`` hit.  Four lookups per
-    round, no per-bit permutation anywhere on the path.
+    Both halves are carried as their 48-bit E expansions.  E only selects
+    bits, so ``E(L ⊕ f) = E(L) ⊕ E(f)``: a round XORs the unchanged round
+    key into the E-form right half and adds four ``_SPE`` hits, already
+    in E-form, to the left.  Pass *subkeys* reversed to decrypt.
     """
     if len(block) != BLOCK_SIZE:
         raise DesError(f"DES block must be {BLOCK_SIZE} bytes, got {len(block)}")
@@ -349,26 +385,23 @@ def _crypt_block(block: bytes, rounds: Sequence[Sequence[int]]) -> bytes:
         ip[0][block[0]] | ip[1][block[1]] | ip[2][block[2]] | ip[3][block[3]]
         | ip[4][block[4]] | ip[5][block[5]] | ip[6][block[6]] | ip[7][block[7]]
     )
-    left = value >> 32
-    right = value & 0xFFFFFFFF
-    cat = _ECAT
-    sp0, sp1, sp2, sp3 = _SPP
-    for k0, k1, k2, k3 in rounds:
-        w = ((right & 1) << 33) | (right << 1) | (right >> 31)
-        left, right = right, left ^ (
-            sp0[cat[(w >> 24) & 0x3FF] ^ k0]
-            ^ sp1[cat[(w >> 16) & 0x3FF] ^ k1]
-            ^ sp2[cat[(w >> 8) & 0x3FF] ^ k2]
-            ^ sp3[cat[w & 0x3FF] ^ k3]
+    left = value >> 48
+    right = value & 0xFFFFFFFFFFFF
+    sp0, sp1, sp2, sp3 = _SPE
+    for subkey in subkeys:
+        t = right ^ subkey
+        left, right = right, (
+            left ^ sp0[t >> 36] ^ sp1[(t >> 24) & 0xFFF]
+            ^ sp2[(t >> 12) & 0xFFF] ^ sp3[t & 0xFFF]
         )
     # Final swap is folded into the order of (right, left) here.
-    pre = (right << 32) | left
+    une = _UNE
     fp = _FP_TAB
     out = (
-        fp[0][pre >> 56] | fp[1][(pre >> 48) & 0xFF]
-        | fp[2][(pre >> 40) & 0xFF] | fp[3][(pre >> 32) & 0xFF]
-        | fp[4][(pre >> 24) & 0xFF] | fp[5][(pre >> 16) & 0xFF]
-        | fp[6][(pre >> 8) & 0xFF] | fp[7][pre & 0xFF]
+        fp[0][une[right >> 36]] | fp[1][une[(right >> 24) & 0xFFF]]
+        | fp[2][une[(right >> 12) & 0xFFF]] | fp[3][une[right & 0xFFF]]
+        | fp[4][une[left >> 36]] | fp[5][une[(left >> 24) & 0xFFF]]
+        | fp[6][une[(left >> 12) & 0xFFF]] | fp[7][une[left & 0xFFF]]
     )
     return out.to_bytes(8, "big")
 
@@ -377,27 +410,26 @@ def _crypt_block(block: bytes, rounds: Sequence[Sequence[int]]) -> bytes:
 
 
 class KeySchedule:
-    """One key's derived schedule, in both directions and both layouts.
+    """One key's derived schedule, in both directions.
 
     ``subkeys`` is exactly :func:`derive_subkeys`'s output (16 48-bit
-    ints, encryption order); the pre-split forms are what the fast block
-    path consumes.  Instances are immutable in practice and shared freely
-    through the module cache.
+    ints, encryption order), which is also what the block path consumes;
+    decryption runs the same rounds over the reversed order.  Instances
+    are immutable in practice and shared freely through the module cache.
     """
 
-    __slots__ = ("key", "subkeys", "_enc_rounds", "_dec_rounds")
+    __slots__ = ("key", "subkeys", "_decrypt_subkeys")
 
     def __init__(self, key: bytes) -> None:
         self.key = bytes(key)
         self.subkeys = derive_subkeys(self.key)
-        self._enc_rounds = _split_rounds(self.subkeys)
-        self._dec_rounds = tuple(reversed(self._enc_rounds))
+        self._decrypt_subkeys = self.subkeys[::-1]
 
     def encrypt_block(self, block: bytes) -> bytes:
-        return _crypt_block(block, self._enc_rounds)
+        return _crypt_block(block, self.subkeys)
 
     def decrypt_block(self, block: bytes) -> bytes:
-        return _crypt_block(block, self._dec_rounds)
+        return _crypt_block(block, self._decrypt_subkeys)
 
 
 #: Bound on distinct keys memoised at once.  A whole matrix run touches a
@@ -455,20 +487,20 @@ def clear_schedule_cache() -> None:
 
 def encrypt_block(key: bytes, block: bytes) -> bytes:
     """Encrypt one 8-byte block under *key* (8 bytes, parity ignored)."""
-    return _crypt_block(block, get_schedule(key)._enc_rounds)
+    return _crypt_block(block, get_schedule(key).subkeys)
 
 
 def decrypt_block(key: bytes, block: bytes) -> bytes:
     """Decrypt one 8-byte block under *key*."""
-    return _crypt_block(block, get_schedule(key)._dec_rounds)
+    return _crypt_block(block, get_schedule(key)._decrypt_subkeys)
 
 
 class DesCipher:
     """A DES instance bound to one key's (cached) schedule.
 
     Kept as the stable object-style API; since the schedule cache it is
-    a thin view — constructing one is a dictionary hit, not sixteen
-    PC-2 permutations.
+    a thin view — constructing one is a dictionary hit, not a key
+    schedule.
     """
 
     __slots__ = ("key", "_schedule")
@@ -478,20 +510,15 @@ class DesCipher:
         self.key = self._schedule.key
 
     def encrypt_block(self, block: bytes) -> bytes:
-        return _crypt_block(block, self._schedule._enc_rounds)
+        return _crypt_block(block, self._schedule.subkeys)
 
     def decrypt_block(self, block: bytes) -> bytes:
-        return _crypt_block(block, self._schedule._dec_rounds)
+        return _crypt_block(block, self._schedule._decrypt_subkeys)
 
 
 def set_odd_parity(key: bytes) -> bytes:
     """Return *key* with each byte's low bit fixed to give odd parity."""
-    parity = _PARITY
-    out = bytearray(key)
-    for i, byte in enumerate(out):
-        high = byte & 0xFE
-        out[i] = high | (parity[high] ^ 1)
-    return bytes(out)
+    return bytes(key).translate(_ODD_PARITY)
 
 
 def has_odd_parity(key: bytes) -> bool:

@@ -22,7 +22,9 @@ to a multiple of the 8-byte block size (see :func:`pad_zero` /
 schedule cache (:func:`repro.crypto.des.get_schedule`) and assembles its
 output into one preallocated ``bytearray``, so repeated calls under the
 same key — the common case three protocol layers deep — cost only block
-operations.  Confounders — the random leading block Version 5
+operations.  The chaining modes carry their chain value as an integer:
+one ``int.from_bytes`` per block read, one integer XOR per combination.
+Confounders — the random leading block Version 5
 prepends so that identical plaintexts encrypt differently — are provided
 as explicit helpers because the paper argues they belong in the encryption
 layer, not the protocol layer.
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 from typing import Protocol
 
-from repro.crypto.bits import xor_bytes
 from repro.crypto.des import BLOCK_SIZE, DesError, get_schedule
 
 __all__ = [
@@ -116,11 +117,13 @@ def cbc_encrypt(key: bytes, plaintext: bytes, iv: bytes = ZERO_IV) -> bytes:
     _check_blocks(plaintext, "plaintext")
     _check_iv(iv)
     encrypt = get_schedule(key).encrypt_block
-    previous = iv
+    chain = int.from_bytes(iv, "big")
     out = bytearray(len(plaintext))
     for i in range(0, len(plaintext), BLOCK_SIZE):
-        previous = encrypt(xor_bytes(plaintext[i:i + BLOCK_SIZE], previous))
-        out[i:i + BLOCK_SIZE] = previous
+        block = int.from_bytes(plaintext[i:i + BLOCK_SIZE], "big")
+        sealed = encrypt((block ^ chain).to_bytes(BLOCK_SIZE, "big"))
+        out[i:i + BLOCK_SIZE] = sealed
+        chain = int.from_bytes(sealed, "big")
     return bytes(out)
 
 
@@ -128,12 +131,13 @@ def cbc_decrypt(key: bytes, ciphertext: bytes, iv: bytes = ZERO_IV) -> bytes:
     _check_blocks(ciphertext, "ciphertext")
     _check_iv(iv)
     decrypt = get_schedule(key).decrypt_block
-    previous = iv
+    chain = int.from_bytes(iv, "big")
     out = bytearray(len(ciphertext))
     for i in range(0, len(ciphertext), BLOCK_SIZE):
         block = ciphertext[i:i + BLOCK_SIZE]
-        out[i:i + BLOCK_SIZE] = xor_bytes(decrypt(block), previous)
-        previous = block
+        plain = int.from_bytes(decrypt(block), "big") ^ chain
+        out[i:i + BLOCK_SIZE] = plain.to_bytes(BLOCK_SIZE, "big")
+        chain = int.from_bytes(block, "big")
     return bytes(out)
 
 
@@ -147,13 +151,13 @@ def pcbc_encrypt(key: bytes, plaintext: bytes, iv: bytes = ZERO_IV) -> bytes:
     _check_blocks(plaintext, "plaintext")
     _check_iv(iv)
     encrypt = get_schedule(key).encrypt_block
-    chain = iv
+    chain = int.from_bytes(iv, "big")
     out = bytearray(len(plaintext))
     for i in range(0, len(plaintext), BLOCK_SIZE):
-        block = plaintext[i:i + BLOCK_SIZE]
-        encrypted = encrypt(xor_bytes(block, chain))
-        out[i:i + BLOCK_SIZE] = encrypted
-        chain = xor_bytes(block, encrypted)
+        block = int.from_bytes(plaintext[i:i + BLOCK_SIZE], "big")
+        sealed = encrypt((block ^ chain).to_bytes(BLOCK_SIZE, "big"))
+        out[i:i + BLOCK_SIZE] = sealed
+        chain = block ^ int.from_bytes(sealed, "big")
     return bytes(out)
 
 
@@ -161,13 +165,13 @@ def pcbc_decrypt(key: bytes, ciphertext: bytes, iv: bytes = ZERO_IV) -> bytes:
     _check_blocks(ciphertext, "ciphertext")
     _check_iv(iv)
     decrypt = get_schedule(key).decrypt_block
-    chain = iv
+    chain = int.from_bytes(iv, "big")
     out = bytearray(len(ciphertext))
     for i in range(0, len(ciphertext), BLOCK_SIZE):
         block = ciphertext[i:i + BLOCK_SIZE]
-        plain = xor_bytes(decrypt(block), chain)
-        out[i:i + BLOCK_SIZE] = plain
-        chain = xor_bytes(plain, block)
+        plain = int.from_bytes(decrypt(block), "big") ^ chain
+        out[i:i + BLOCK_SIZE] = plain.to_bytes(BLOCK_SIZE, "big")
+        chain = plain ^ int.from_bytes(block, "big")
     return bytes(out)
 
 

@@ -57,6 +57,9 @@ def test_xor_properties(data):
     zero = bytes(len(data))
     assert xor_bytes(data, zero) == data
     assert xor_bytes(data, data) == zero
+    mirrored = data[::-1]
+    assert xor_bytes(data, mirrored) == \
+        bytes(x ^ y for x, y in zip(data, mirrored))
 
 
 def test_xor_length_mismatch():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import des, des_bitslice, des_reference
+from repro.crypto import des, des_bitslice, des_reference, keys
 from repro.crypto.bits import transpose_in, transpose_out
 from repro.crypto.des_bitslice import (
     BitslicedKeys, broadcast_block, decrypt_block, decrypt_blocks,
@@ -150,6 +150,18 @@ def test_rejects_bad_key_and_block_sizes():
 def test_string_to_key_many_equals_scalar(passwords):
     assert string_to_key_many(passwords) == \
         [string_to_key(p) for p in passwords]
+
+
+@pytest.mark.parametrize("salt", ["", "ATHENA"])
+def test_string_to_key_many_batched_groups_equal_scalar(salt):
+    """Groups that clear the batch floor take the sliced checksum; a
+    smaller group in the same call falls back to the scalar path."""
+    floor = keys._BATCH_FLOOR
+    passwords = ([f"pw{i:05d}" for i in range(floor + 3)]
+                 + [f"a-longer-password-{i:04d}" for i in range(floor)]
+                 + ["x" * 33, "y" * 34])
+    assert string_to_key_many(passwords, salt) == \
+        [string_to_key(p, salt) for p in passwords]
 
 
 @given(st.lists(st.text(max_size=40), min_size=1, max_size=40),

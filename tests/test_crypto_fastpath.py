@@ -1,12 +1,13 @@
 """The table-driven DES fast path against the per-bit reference.
 
-The fast path in :mod:`repro.crypto.des` (byte-indexed IP/FP tables,
-paired SP tables, E folded into shifts over the 34-bit wraparound word)
-must compute *exactly* the function of the retained per-bit
-implementation in :mod:`repro.crypto.des_reference` — on the published
-vectors, on random keys and blocks, and through every mode of
-operation.  These tests are the contract that lets the rest of the
-package trust the optimisation blindly.
+The fast path in :mod:`repro.crypto.des` (Feistel rounds over E-expanded
+48-bit halves, byte-indexed IP/FP tables, paired S-box/P/E tables, key
+schedules from byte-indexed tables) must compute *exactly* the function
+of the retained per-bit implementation in
+:mod:`repro.crypto.des_reference` — block function and key schedule
+each on their own, on the published vectors, on random keys and blocks,
+and through every mode of operation.  These tests are the contract that
+lets the rest of the package trust the optimisation blindly.
 """
 
 import pytest
@@ -56,24 +57,47 @@ def test_fast_path_equals_reference_on_random_inputs(key, block):
     assert decrypt_block(key, block) == des_reference.decrypt_block(key, block)
 
 
+@pytest.mark.parametrize("key_hex,plain_hex,cipher_hex", VECTORS)
+def test_key_schedule_matches_reference_on_vectors(key_hex, plain_hex,
+                                                   cipher_hex):
+    key = bytes.fromhex(key_hex)
+    assert derive_subkeys(key) == des_reference.derive_subkeys(key)
+
+
+@given(key8)
+@settings(max_examples=100, deadline=None)
+def test_key_schedule_matches_reference_on_random_keys(key):
+    assert derive_subkeys(key) == des_reference.derive_subkeys(key)
+
+
 @given(key8, key8)
 @settings(max_examples=30, deadline=None)
 def test_shared_subkeys_one_block_both_paths(key, block):
-    """Both paths consuming the *same* derived schedule must agree —
+    """Each path derives its own schedule; the two must be equal, and
+    both block functions consuming that one schedule must agree —
     isolates the block function from the key schedule."""
-    subkeys = derive_subkeys(key)
+    subkeys = des_reference.derive_subkeys(key)
     schedule = KeySchedule(key)
     assert schedule.subkeys == subkeys
     assert schedule.encrypt_block(block) == \
         des_reference.crypt_block(block, subkeys)
+    assert schedule.decrypt_block(block) == \
+        des_reference.crypt_block(block, subkeys[::-1])
 
 
 @given(st.binary(min_size=0, max_size=120).map(modes.pad_zero), key8, key8)
 @settings(max_examples=30, deadline=None)
 def test_modes_match_reference_composition(plaintext, key, iv):
-    """CBC/PCBC built from reference block ops equal the cached fast
-    modes byte for byte."""
+    """ECB/CBC/PCBC built from reference block ops equal the cached fast
+    modes byte for byte, both directions."""
     from repro.crypto.bits import xor_bytes
+
+    expected_ecb = b"".join(
+        des_reference.encrypt_block(key, plaintext[i:i + 8])
+        for i in range(0, len(plaintext), 8)
+    )
+    assert modes.ecb_encrypt(key, plaintext) == expected_ecb
+    assert modes.ecb_decrypt(key, expected_ecb) == plaintext
 
     expected_cbc = bytearray()
     prev = iv
@@ -82,6 +106,7 @@ def test_modes_match_reference_composition(plaintext, key, iv):
             key, xor_bytes(plaintext[i:i + 8], prev))
         expected_cbc += prev
     assert modes.cbc_encrypt(key, plaintext, iv) == bytes(expected_cbc)
+    assert modes.cbc_decrypt(key, bytes(expected_cbc), iv) == plaintext
 
     expected_pcbc = bytearray()
     chain = iv
@@ -91,6 +116,7 @@ def test_modes_match_reference_composition(plaintext, key, iv):
         expected_pcbc += sealed
         chain = xor_bytes(block, sealed)
     assert modes.pcbc_encrypt(key, plaintext, iv) == bytes(expected_pcbc)
+    assert modes.pcbc_decrypt(key, bytes(expected_pcbc), iv) == plaintext
 
 
 @given(st.binary(min_size=0, max_size=120).map(modes.pad_zero), key8, key8)
