@@ -542,8 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--consistency", action="store_true",
         help="also pin the verdicts dynamically: attack-matrix "
              "agreement for the protocol family (~1 min serial), a "
-             "same-seed double run of the scale-mode load harness "
-             "asserting byte-identical reports for the sim family, a "
+             "same-seed double run of the load harness in engine and "
+             "scale mode asserting byte-identical reports for the sim "
+             "family, a "
              "canary-key witness scanning every emitted artifact for "
              "unsealed key bytes for the crypto family",
     )

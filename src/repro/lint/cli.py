@@ -284,8 +284,9 @@ def run_lint(
         from repro.lint.simconsistency import check_determinism
 
         echo("")
-        echo("determinism harness: double-running the scale-mode load "
-             "harness with one seed (byte-identity witness)...")
+        echo("determinism harness: double-running the load harness in "
+             "engine and scale mode with one seed (byte-identity "
+             "witness)...")
         sim_fresh = [f for f in fresh if f.column == SIM_COLUMN]
         determinism = check_determinism(static_findings=len(sim_fresh))
         echo(determinism.render())

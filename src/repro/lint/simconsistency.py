@@ -2,8 +2,9 @@
 
 ``python -m repro lint --family sim --consistency`` ties the sim rule
 family's static claim — *this tree has no determinism hazards* — to a
-runtime witness: run the scale-mode load harness twice in-process with
-the same seed and assert the two serialized reports are byte-identical.
+runtime witness: run the load harness twice in-process with the same
+seed, in engine mode and in scale mode (the two share one unit driver),
+and assert each pair of serialized reports is byte-identical.
 If the static scan is clean but the double run diverges, either a rule
 has a blind spot or a new hazard class exists; if the scan finds
 hazards but the runs agree, the hazard simply was not exercised — both
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 __all__ = ["canonical_report_bytes", "DeterminismReport",
            "check_determinism"]
@@ -73,8 +74,8 @@ class DeterminismReport:
 
     def render(self) -> str:
         lines = [
-            "determinism cross-check "
-            f"(principals={self.principals}, seed={self.seed})",
+            "determinism cross-check (engine mode, and scale mode at "
+            f"principals={self.principals}; seed={self.seed})",
             f"  static : {self.static_findings} sim finding"
             f"{'s' if self.static_findings != 1 else ''}",
             "  dynamic: reports "
@@ -100,26 +101,32 @@ def check_determinism(static_findings: int,
                       principals: int = 20000,
                       seed: int = 0,
                       quick: bool = True) -> DeterminismReport:
-    """Run the scale-mode load harness twice with the same seed and
-    compare the canonical report bytes against the static verdict.
+    """Run the load harness twice with the same seed in each mode —
+    engine mode, then scale mode with *principals* — and compare the
+    canonical report bytes against the static verdict.
 
     *static_findings* is the number of sim-family findings the caller's
     scan produced over the live tree; the report's :attr:`agrees` flag
     is the tri-consistency check (clean scan must imply identical
-    bytes).
+    bytes).  :attr:`first_divergence` names each mode that diverged.
     """
     from repro.load import run_load
 
-    runs: List[bytes] = []
-    for _ in range(2):
-        report = run_load(principals=principals, seed=seed, quick=quick,
-                          out_path=None)
-        runs.append(canonical_report_bytes(report))
-    identical = runs[0] == runs[1]
+    divergences: List[str] = []
+    for mode, population in (("engine", None), ("scale", principals)):
+        runs = [
+            canonical_report_bytes(run_load(
+                principals=population, seed=seed, quick=quick,
+                out_path=None,
+            ))
+            for _ in range(2)
+        ]
+        if runs[0] != runs[1]:
+            divergences.append(f"{mode} mode: {_first_divergence(*runs)}")
     return DeterminismReport(
         principals=principals,
         seed=seed,
         static_findings=static_findings,
-        identical=identical,
-        first_divergence="" if identical else _first_divergence(*runs),
+        identical=not divergences,
+        first_divergence="; ".join(divergences),
     )

@@ -27,9 +27,13 @@ heap *is* the calendar.
 Two modes, one report (``repro-bench-kdc/3``).  Both serve from the
 same :class:`repro.serve.cluster.Shard` (a worker pool plus its replay
 cache), fail over by the same rule
-(:func:`repro.serve.sharding.attempt_order`), and hand a
-:class:`LoadRun` to the one gauge set and the one report builder
-below:
+(:func:`repro.serve.sharding.attempt_order`), back off by the same
+:data:`RETRY_POLICY`, run their units, fault timers and replay probe
+through the one driver :func:`run_units`, and hand a :class:`LoadRun`
+to the one gauge set and the one report builder below.  Each mode
+brings only what differs: how a unit runs its three phases, how a
+shard goes down and comes back, and how a recorded TGS request is
+replayed.
 
 * **Engine mode** (default): every exchange runs the real Kerberos
   message machinery — real DES, real codecs, real replay caches — with
@@ -55,6 +59,7 @@ import time
 from dataclasses import dataclass, field
 from typing import (
     Any, Callable, Dict, Iterator, List, Optional, Protocol, Sequence,
+    TypeVar,
 )
 
 from repro.kerberos.client import KerberosError, RetryPolicy
@@ -62,18 +67,19 @@ from repro.kerberos.config import ProtocolConfig
 from repro.kerberos.messages import (
     ERR_REPLAY, ERR_UNAVAILABLE, decode_error, unframe,
 )
-from repro.obs.metrics import Histogram, MetricsRegistry, MetricsSink
+from repro.obs.metrics import MetricsRegistry, MetricsSink
 from repro.obs.timeseries import LogHistogram, TickSampler
 from repro.obs.trace import Tracer
 from repro.serve.cluster import Shard
 from repro.serve.pool import DEFAULT_US_PER_BLOCK_OP
 from repro.sim.clock import MILLISECOND, SECOND, SimClock
-from repro.sim.network import Endpoint, NetworkError
+from repro.sim.network import Endpoint, NetworkError, WireMessage
 from repro.sim.sched import Scheduler, wait
 from repro.sim.workload import DiurnalCurve, open_loop_arrivals
 from repro.testbed import Testbed
 
-__all__ = ["run_load", "render_report", "LoadInputError", "LoadRun"]
+__all__ = ["run_load", "render_report", "run_units", "LoadInputError",
+           "LoadRun"]
 
 #: Mean time between unit arrivals on the open-loop calendar.  A unit
 #: costs ~5.3ms of simulated wire time (21 transits at 250us), so 6ms
@@ -87,6 +93,18 @@ REPLAY_PROBES = 5
 
 #: Engine-mode unit count when ``requests`` is not given.
 DEFAULT_REQUESTS = 240
+
+#: Client backoff in both modes: engine clients carry it, and the
+#: scale model's requests retry by it.
+RETRY_POLICY = RetryPolicy(max_retries=2, backoff_base=20 * MILLISECOND)
+
+#: A unit's phases, in the order its ``marks`` end them.
+PHASES = ("as", "tgs", "ap")
+
+#: ``finish(marks, error)``: how a unit hands its outcome to
+#: :func:`run_units`.
+Finish = Callable[[List[int], Optional[str]], None]
+Recording = TypeVar("Recording")
 
 
 class LoadInputError(ValueError):
@@ -158,18 +176,92 @@ def cluster_sampler(clock: SimClock, frontend: Frontend,
     return sampler
 
 
-def _summary(histogram: Histogram) -> Dict[str, Any]:
-    """count/p50/p95/p99/mean/max in integer microseconds."""
-    count = histogram.count
-    if not count:
-        return {"count": 0, "p50": 0, "p95": 0, "p99": 0, "mean": 0, "max": 0}
+def run_units(
+    sched: Scheduler,
+    sampler: TickSampler,
+    arrivals: Sequence[int],
+    window: Optional[Dict[str, int]],
+    unit: Callable[[int, int, Finish], Iterator[Any]],
+    fail: Callable[[int], None],
+    restore: Callable[[int], None],
+    recorded: Callable[[], Sequence[Recording]],
+    replay: Callable[[Recording], bool],
+) -> Dict[str, Any]:
+    """Run one unit per arrival, then the replay probe: the part of a
+    load run both modes share.  Returns the :class:`LoadRun` fields
+    this part fills in.
+
+    ``unit(op, intended, finish)`` is a mode's scheduler process for
+    unit *op*, spawned at its *intended* arrival.  It keeps ``marks`` —
+    *intended*, then the end of each phase it completed — and ends by
+    calling ``finish(marks, error)``, *error* being ``None`` or the
+    error kind.  ``finish`` records each completed phase; a completed
+    unit also records its latency, a failed one tallies its error.
+
+    With a fault *window*, ``fail(shard)`` runs at the arrival of op
+    ``first_op`` and ``restore(shard)`` at that of op ``last_op + 1``.
+
+    The probe re-offers the last :data:`REPLAY_PROBES` of
+    ``recorded()`` through ``replay``, which says whether the replay
+    was rejected.  With a window, only recordings made after the
+    restore are eligible: a request served by a failover replica has no
+    affinity to return to (that honest gap is pinned separately in
+    tests/test_serve_cluster.py).
+    """
+    latency = {name: LogHistogram() for name in ("unit",) + PHASES}
+    unit_latency = latency["unit"]
+    phase_latency = [latency[name] for name in PHASES]
+    errors: Dict[str, int] = {}
+    completed = 0
+    seen_at_restore = 0
+
+    def finish(marks: List[int], error: Optional[str]) -> None:
+        nonlocal completed
+        start = last = marks[0]
+        for phase in range(1, len(marks)):
+            mark = marks[phase]
+            phase_latency[phase - 1].record(mark - last)
+            last = mark
+        if error is None:
+            # Intended open-loop start to AP completion: queueing is
+            # charged to the units that experienced it.
+            unit_latency.record(last - start)
+            completed += 1
+        else:
+            errors[error] = errors.get(error, 0) + 1
+
+    def restore_and_cut(shard: int) -> None:
+        nonlocal seen_at_restore
+        restore(shard)
+        seen_at_restore = len(recorded())
+
+    clock = sched.clock
+    sim_start = clock.now()
+    # Fault timers go on the heap before the arrival processes: at an
+    # equal timestamp FIFO tie-breaking then fires the outage/restore
+    # *before* the unit that defines the window boundary, matching the
+    # op-index semantics the fault window advertises.
+    if window is not None:
+        shard = window["shard"]
+        sched.at(arrivals[window["first_op"]], lambda: fail(shard))
+        sched.at(arrivals[window["last_op"] + 1],
+                 lambda: restore_and_cut(shard))
+    for op, intended in enumerate(arrivals):
+        sched.spawn(unit(op, intended, finish), at_time=intended)
+    sched.run()
+    sampler.tick()  # final reading at end-of-run state
+    sim_elapsed_us = clock.now() - sim_start
+
+    probe = {"attempted": 0, "rejected": 0}
+    for recording in recorded()[seen_at_restore:][-REPLAY_PROBES:]:
+        probe["attempted"] += 1
+        if replay(recording):
+            probe["rejected"] += 1
     return {
-        "count": count,
-        "p50": int(histogram.percentile(50)),
-        "p95": int(histogram.percentile(95)),
-        "p99": int(histogram.percentile(99)),
-        "mean": int(histogram.total / count),
-        "max": int(max(histogram._samples)),
+        "sched": sched, "sampler": sampler, "fault_window": window,
+        "latency_us": {name: h.summary() for name, h in latency.items()},
+        "completed": completed, "errors": errors,
+        "sim_elapsed_us": sim_elapsed_us, "probe": probe,
     }
 
 
@@ -375,7 +467,6 @@ def _run_engine(
     mail = bed.add_mail_server("mailhost")
     cluster = bed.realm.cluster
     assert cluster is not None
-    retry_policy = RetryPolicy(max_retries=2, backoff_base=20 * MILLISECOND)
     sched = Scheduler(bed.clock)
     sampler = cluster_sampler(
         bed.clock, cluster,
@@ -392,124 +483,79 @@ def _run_engine(
         calendar_rng, requests, interarrival_us, diurnal=curve, start=first,
     ))
 
-    window = fault_window(faults, requests, shards)
-    unit_latency = Histogram("unit_latency_us")
-    phase_latency = {name: Histogram(f"{name}_latency_us")
-                     for name in ("as", "tgs", "ap")}
-    counters = {"completed": 0, "tgs_seen_at_restore": 0}
-    errors: Dict[str, int] = {}
+    frontend = cluster.frontend_host.address
 
-    def unit_process(op: int, intended: int) -> Iterator[Any]:
-        """One workload unit as a scheduler process: AS, then TGS, then
-        AP, yielding between phases so each phase's requests enter the
-        worker pools in global virtual-time order."""
+    def unit(op: int, intended: int, finish: Finish) -> Iterator[Any]:
+        """One workload unit: AS, then TGS, then AP, yielding between
+        phases so each phase's requests enter the worker pools in
+        global virtual-time order.  Worker-pool queueing stalls the
+        serving events themselves, so it is already inside the clock."""
         sampler.poll()
         user = op % clients
         workstation = bed.add_workstation(f"lws{op}")
+        marks = [intended]
+        error: Optional[str] = None
         try:
             outcome = bed.login(
                 f"user{user}", f"pw-{user}", workstation,
-                retry_policy=retry_policy,
+                retry_policy=RETRY_POLICY,
             )
-            as_end = bed.clock.now()
-            phase_latency["as"].observe(as_end - intended)
+            marks.append(bed.clock.now())
             yield wait(0)
 
             cred = outcome.client.get_service_ticket(mail.principal)
-            tgs_end = bed.clock.now()
-            phase_latency["tgs"].observe(tgs_end - as_end)
+            marks.append(bed.clock.now())
             yield wait(0)
 
             session = outcome.client.ap_exchange(cred, bed.endpoint(mail))
             session.call(b"COUNT")
-            ap_end = bed.clock.now()
-            phase_latency["ap"].observe(ap_end - tgs_end)
-
-            # Unit latency: intended open-loop start to AP completion.
-            # Worker-pool queueing stalls the serving events themselves,
-            # so it is already inside the clock — no side-channel.
-            unit_latency.observe(ap_end - intended)
-            counters["completed"] += 1
+            marks.append(bed.clock.now())
         except KerberosError as err:
-            kind = ("unavailable" if err.code == ERR_UNAVAILABLE
-                    else f"kerberos-{err.code}")
-            errors[kind] = errors.get(kind, 0) + 1
+            error = ("unavailable" if err.code == ERR_UNAVAILABLE
+                     else f"kerberos-{err.code}")
         except NetworkError:
-            errors["network"] = errors.get("network", 0) + 1
+            error = "network"
+        finish(marks, error)
 
-    def restore_victim(address: str) -> None:
-        bed.network.restore_host(address)
-        counters["tgs_seen_at_restore"] = len(
-            bed.adversary.recorded(service="tgs", direction="request")
-        )
+    def recorded() -> List[WireMessage]:
+        """The client-to-frontend TGS requests on the wire, in order."""
+        return [
+            m for m in bed.adversary.recorded(service="tgs",
+                                              direction="request")
+            if m.dst.address == frontend
+        ]
 
-    sim_start = bed.clock.now()
-
-    # Fault timers go on the heap before the arrival processes: at an
-    # equal timestamp FIFO tie-breaking then fires the outage/restore
-    # *before* the unit that defines the window boundary, matching the
-    # op-index semantics the fault window advertises.
-    if window is not None:
-        victim = cluster.shards[window["shard"]].host.address
-        sched.at(arrivals[window["first_op"]],
-                 lambda: bed.network.fail_host(victim))
-        sched.at(arrivals[window["last_op"] + 1],
-                 lambda: restore_victim(victim))
-    for op, intended in enumerate(arrivals):
-        sched.spawn(unit_process(op, intended), at_time=intended)
-
-    sched.run()
-    sampler.tick()  # final reading at end-of-run state
-    sim_elapsed_us = bed.clock.now() - sim_start
-
-    # -- replay probe: the acceptance property, measured in-band --------
-    # Re-inject recorded TGS requests byte-for-byte.  Only post-restore
-    # recordings are probed when faults ran: a request served by a
-    # failover replica has no affinity to return to (that honest gap is
-    # pinned separately in tests/test_serve_cluster.py).
-    probe = {"attempted": 0, "rejected": 0}
-    frontend = cluster.frontend_host.address
-    recorded = [
-        m for m in bed.adversary.recorded(service="tgs", direction="request")
-        if m.dst.address == frontend
-    ]
-    if faults:
-        all_tgs = bed.adversary.recorded(service="tgs", direction="request")
-        post_restore = set(
-            id(m) for m in all_tgs[counters["tgs_seen_at_restore"]:]
-        )
-        recorded = [m for m in recorded if id(m) in post_restore]
-    for message in recorded[-REPLAY_PROBES:]:
+    def replay(message: WireMessage) -> bool:
+        """Re-inject a recorded TGS request byte-for-byte."""
         reply = bed.network.inject(
             "10.66.6.6", Endpoint(frontend, "tgs"), message.payload
         )
         is_error, body = unframe(protocol, reply)
-        probe["attempted"] += 1
-        if is_error and decode_error(protocol, body)["code"] == ERR_REPLAY:
-            probe["rejected"] += 1
+        return is_error and \
+            decode_error(protocol, body)["code"] == ERR_REPLAY
+
+    hosts = [shard.host.address for shard in cluster.shards]
+    driven = run_units(
+        sched, sampler, arrivals, fault_window(faults, requests, shards),
+        unit, fail=lambda s: bed.network.fail_host(hosts[s]),
+        restore=lambda s: bed.network.restore_host(hosts[s]),
+        recorded=recorded, replay=replay,
+    )
     if tracer is not None:
         bed.bus.tracer = None
 
     return LoadRun(
-        frontend=cluster, sched=sched, sampler=sampler,
+        frontend=cluster,
         workload={
             "mode": "engine",
             "principals": {"total": clients, "materialized": clients},
             "zipf_s": None,
             "diurnal": bool(diurnal),
         },
-        latency_us={
-            "unit": _summary(unit_latency),
-            "as": _summary(phase_latency["as"]),
-            "tgs": _summary(phase_latency["tgs"]),
-            "ap": _summary(phase_latency["ap"]),
-        },
-        completed=counters["completed"], errors=errors,
-        sim_elapsed_us=sim_elapsed_us, fault_window=window,
         # From the bus-fed registry: retries by clients the harness
         # never got back (failed logins) are still counted.
         client_retries=registry.counter("request_retries").value(),
-        probe=probe, metrics=registry.snapshot(),
+        metrics=registry.snapshot(), **driven,
     )
 
 

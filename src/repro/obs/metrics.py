@@ -1,7 +1,8 @@
 """Counters and histograms over the event stream.
 
 :class:`MetricsRegistry` is deliberately small: labelled monotonic
-counters and summary histograms, with deterministic rendering —
+counters and :class:`repro.obs.timeseries.LogHistogram`\\ s (the one
+histogram type in the repo), with deterministic rendering —
 snapshots sort by name and label so two identical runs produce
 byte-identical tables (the repo's determinism contract extends to its
 telemetry).  :class:`MetricsSink` is the standard event-to-metric
@@ -28,8 +29,9 @@ from repro.obs.events import (
     RequestRetried, SessionEstablished, ShardUnavailable, TicketIssued,
     WireCrossing,
 )
+from repro.obs.timeseries import LogHistogram
 
-__all__ = ["Counter", "Histogram", "MetricsRegistry", "MetricsSink"]
+__all__ = ["Counter", "MetricsRegistry", "MetricsSink"]
 
 Labels = Tuple[Tuple[str, str], ...]
 
@@ -63,53 +65,12 @@ class Counter:
         return sorted(self._values.items())
 
 
-class Histogram:
-    """Summary statistics over observed values (all samples retained —
-    runs are bounded and determinism beats reservoir sampling here)."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self._samples: List[float] = []
-
-    def observe(self, value: float) -> None:
-        self._samples.append(value)
-
-    @property
-    def count(self) -> int:
-        return len(self._samples)
-
-    @property
-    def total(self) -> float:
-        return sum(self._samples)
-
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile; 0 with no samples."""
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        rank = max(0, min(len(ordered) - 1, int(p / 100.0 * len(ordered))))
-        return ordered[rank]
-
-    def summary(self) -> Dict[str, float]:
-        if not self._samples:
-            return {"count": 0, "sum": 0.0, "min": 0.0, "p50": 0.0,
-                    "p95": 0.0, "max": 0.0}
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": min(self._samples),
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "max": max(self._samples),
-        }
-
-
 class MetricsRegistry:
     """Named counters and histograms, with text and JSON snapshots."""
 
     def __init__(self):
         self._counters: Dict[str, Counter] = {}
-        self._histograms: Dict[str, Histogram] = {}
+        self._histograms: Dict[str, LogHistogram] = {}
 
     def counter(self, name: str) -> Counter:
         counter = self._counters.get(name)
@@ -117,10 +78,10 @@ class MetricsRegistry:
             counter = self._counters[name] = Counter(name)
         return counter
 
-    def histogram(self, name: str) -> Histogram:
+    def histogram(self, name: str) -> LogHistogram:
         histogram = self._histograms.get(name)
         if histogram is None:
-            histogram = self._histograms[name] = Histogram(name)
+            histogram = self._histograms[name] = LogHistogram()
         return histogram
 
     # -- snapshots -------------------------------------------------------
@@ -157,18 +118,14 @@ class MetricsRegistry:
         blocks = [render_table(
             "counters", ["metric", "labels", "count"], counter_rows,
         )]
+        columns = ["count", "p50", "p95", "p99", "mean", "max"]
         histogram_rows = []
         for name in sorted(self._histograms):
-            s = self._histograms[name].summary()
-            histogram_rows.append([
-                name, s["count"], int(s["min"]), int(s["p50"]),
-                int(s["p95"]), int(s["max"]),
-            ])
+            summary = self._histograms[name].summary()
+            histogram_rows.append([name] + [summary[c] for c in columns])
         if histogram_rows:
             blocks.append(render_table(
-                "histograms",
-                ["metric", "count", "min", "p50", "p95", "max"],
-                histogram_rows,
+                "histograms", ["metric"] + columns, histogram_rows,
             ))
         return "\n\n".join(blocks)
 
@@ -183,9 +140,9 @@ class MetricsSink:
         registry = self.registry
         if isinstance(event, WireCrossing):
             registry.counter("wire_messages").inc(direction=event.direction)
-            registry.histogram("wire_bytes").observe(event.size)
+            registry.histogram("wire_bytes").record(event.size)
         elif isinstance(event, ExchangeComplete):
-            registry.histogram("exchange_latency_us").observe(event.duration)
+            registry.histogram("exchange_latency_us").record(event.duration)
             registry.counter("exchanges").inc(service=event.service)
         elif isinstance(event, TicketIssued):
             registry.counter("tickets_issued").inc(
@@ -213,4 +170,4 @@ class MetricsSink:
             )
         elif isinstance(event, RequestRetried):
             registry.counter("request_retries").inc(service=event.service)
-            registry.histogram("retry_backoff_us").observe(event.backoff_us)
+            registry.histogram("retry_backoff_us").record(event.backoff_us)

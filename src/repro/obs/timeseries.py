@@ -1,10 +1,11 @@
 """Time-series telemetry: log-bucketed histograms and tick-sampled gauges.
 
-The load harness's original :class:`repro.obs.metrics.Histogram` keeps
-every sample — fine for hundreds of observations, wrong for the
-million-principal runs the ROADMAP is driving toward, and impossible to
-combine across shards without shipping raw samples around.  This module
-is the scalable replacement:
+Keeping every sample is fine for hundreds of observations, wrong for
+million-principal load runs, and impossible to combine across shards
+without shipping raw samples around.  So every histogram in the repo —
+load-harness latencies, worker-pool queue waits, and the
+:class:`repro.obs.metrics.MetricsRegistry` histograms — is one type
+from this module:
 
 * :class:`LogHistogram` — an HDR-style histogram over non-negative
   integers (microseconds, queue depths, byte counts).  Values below

@@ -331,10 +331,6 @@ class KdcCluster:
         self.requests: Dict[str, int] = {AS_SERVICE: 0, TGS_SERVICE: 0}
         self.failovers = 0
         self.unavailable = 0
-        # Virtual queueing delay accumulated since the last drain; only
-        # used in classic synchronous mode (no scheduler timeline), where
-        # a handler cannot make its caller's clock run longer.
-        self._backlog_us = 0
         # Measured DES cost per service, for the scale model's calibration.
         self.block_ops_by_service: Dict[str, int] = {
             AS_SERVICE: 0, TGS_SERVICE: 0,
@@ -408,14 +404,12 @@ class KdcCluster:
             start, finish = shard.pool.schedule(arrival, block_ops)
             # Wire transits model propagation; the pool models CPU.
             # Queue wait + service time is this request's CPU latency.
-            # Scheduler mode: stall the event itself, so the reply is
-            # genuinely late and downstream activity shifts with it.
-            # Synchronous mode: a handler cannot take longer, so the
-            # latency goes into the backlog side-channel for the caller.
+            # Under the scheduler, stall the event itself, so the reply
+            # is genuinely late and downstream activity shifts with it.
+            # Without one (a synchronous testbed, ``calibrate``) the
+            # pool only keeps its books: the clock measures wire time.
             if self._clock.timeline is not None:
                 self._clock.advance(finish - arrival)
-            else:
-                self._backlog_us += finish - arrival
             shard.served[service] += 1
             if position > 0:
                 # Served, but by a replica: replay-cache affinity was
@@ -455,17 +449,6 @@ class KdcCluster:
             ))
 
     # -- introspection --------------------------------------------------
-
-    def drain_backlog_us(self) -> int:
-        """Virtual CPU latency accrued since the last call (and reset).
-
-        The synchronous fabric cannot make a handler *take longer*, so
-        worker-pool time (queue wait + service) is tracked as this
-        side-channel; the load harness adds each request's share to its
-        measured latency.
-        """
-        backlog, self._backlog_us = self._backlog_us, 0
-        return backlog
 
     def shard_for_principal(self, principal: Principal) -> ShardServer:
         return self.shards[self.database.home_shard(principal)]

@@ -14,10 +14,11 @@ table-driven fast path and the config's cipher choices); the scale
 model (:mod:`repro.serve.scale`) reports the calibrated per-service
 count instead.  The pool answers the queueing question: given when
 this request arrived and when a worker next comes free, when would it
-actually have started and finished?  The excess over the synchronous
-handling time is the *queueing penalty* the load harness folds into
-its latency percentiles — this is what makes p99 diverge from p50 as
-offered load approaches pool capacity.
+actually have started and finished?  Under the scheduler the cluster
+stalls the serving event until that finish (below), so queue wait and
+service time land in the load harness's latency percentiles — this is
+what makes p99 diverge from p50 as offered load approaches pool
+capacity.  Without a scheduler the pool only keeps its books.
 
 Arrival times: the pool's free-times and the arrivals it is offered
 live on the simulation's virtual timeline.  Under the discrete-event
@@ -46,9 +47,9 @@ amortisation.
 Telemetry: every ``schedule`` records its queue wait and service time
 into mergeable :class:`repro.obs.timeseries.LogHistogram`\\ s (per-shard
 percentiles in ``BENCH_kdc.json``; cluster-wide ones are a fold), and
-the pool can answer instantaneous questions — :meth:`queue_depth`,
-:meth:`busy_workers`, :meth:`utilization_pct` — for the tick-sampled
-gauges ``python -m repro monitor`` plots.
+the pool answers :meth:`queue_depth` and :meth:`utilization_pct` for
+the tick-sampled gauges the load harness reports and ``python -m repro
+monitor`` plots.
 """
 
 from __future__ import annotations
@@ -146,10 +147,6 @@ class WorkerPool:
         while inflight and inflight[0] <= now:
             heapq.heappop(inflight)
         return len(inflight)
-
-    def busy_workers(self, now: int) -> int:
-        """Workers with a job running (or queued work) at *now*."""
-        return sum(1 for free in self._free if free > now)
 
     def utilization_pct(self) -> int:
         """Busy time over the pool's active window, 0–100 (whole run)."""

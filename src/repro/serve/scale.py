@@ -14,11 +14,12 @@ Shared with engine mode, not copied: each shard is a
 evictions) — and requests try shards in the engine frontend's
 :func:`repro.serve.sharding.attempt_order`, routed by CRC-32
 :func:`repro.serve.sharding.shard_of` (AS by principal, TGS by
-authenticator fingerprint — replay affinity and all).  The gauge set
-and the ``BENCH_kdc.json`` builder are the load harness's own
-(:mod:`repro.load`).  Also real: lazily derived principal keys through
-:func:`repro.crypto.keys.string_to_key`, client retry/backoff, and the
-discrete-event scheduler itself.
+authenticator fingerprint — replay affinity and all).  The unit
+driver (latency histograms, fault timers, replay probe), the client
+backoff, the gauge set and the ``BENCH_kdc.json`` builder are the load
+harness's own (:mod:`repro.load`).  Also real: lazily derived
+principal keys through :func:`repro.crypto.keys.string_to_key`, and
+the discrete-event scheduler itself.
 
 Modelled: per-request CPU and wire cost.  Both are **calibrated, not
 invented**: at startup a handful of units run through the real engine on
@@ -57,14 +58,16 @@ from repro.crypto.rng import DeterministicRandom
 from repro.kerberos.config import ProtocolConfig
 from repro.kerberos.kdc import AS_SERVICE, TGS_SERVICE
 from repro.kerberos.validation import LruReplayCache
-from repro.load import REPLAY_PROBES, LoadRun, cluster_sampler, fault_window
+from repro.load import (
+    RETRY_POLICY, Finish, LoadRun, cluster_sampler, fault_window, run_units,
+)
 from repro.obs.timeseries import LogHistogram, TickSampler
 from repro.serve.cluster import Shard
 from repro.serve.pool import (
     DEFAULT_BATCH_OVERHEAD_US, DEFAULT_US_PER_BLOCK_OP, WorkerPool,
 )
 from repro.serve.sharding import attempt_order, shard_of
-from repro.sim.clock import MILLISECOND, MINUTE, SECOND, SimClock
+from repro.sim.clock import MINUTE, SECOND, SimClock
 from repro.sim.sched import Scheduler, wait
 from repro.sim.workload import (
     DiurnalCurve, ZipfianGenerator, open_loop_arrivals,
@@ -242,9 +245,12 @@ class _Model:
         Follows the engine frontend: shards are tried in
         :func:`attempt_order` — TGS fails over around the ring, AS is
         pinned to the principal's home shard (its key lives there) — and
-        a downed shard refuses the request at dispatch.  When every
-        shard in the order refuses, the client retries with jittered
-        exponential backoff and eventually degrades to ``unavailable``.
+        a downed shard refuses the request at dispatch.  Like the
+        engine frontend, it counts every try in ``requests`` and every
+        refused one in ``unavailable``.  When every shard in the order
+        refuses, the client backs off by the engine's
+        :data:`repro.load.RETRY_POLICY` and, out of retries, degrades
+        to ``unavailable``.
 
         Returns ``(outcome, served_by)`` where ``served_by`` is the
         index of the shard that actually served the request (``None``
@@ -259,11 +265,11 @@ class _Model:
                               failover=service == TGS_SERVICE)
         attempt = 0
         while True:
+            self.requests[service] += 1
             for position, index in enumerate(order):
                 if index in self.down:
                     continue
                 shard = self.shards[index]
-                self.requests[service] += 1
                 yield wait(transit)
                 now = self.clock.now()
                 _start, finish = shard.pool.schedule(now, block_ops)
@@ -283,13 +289,13 @@ class _Model:
                     shard.failover_serves += 1
                 yield wait(finish - now + transit)
                 return ("ok" if fresh else "replay"), index
-            attempt += 1
-            if attempt > 2:
-                self.unavailable += 1
+            self.unavailable += 1
+            if attempt >= RETRY_POLICY.max_retries:
                 return "unavailable", None
+            backoff = RETRY_POLICY.backoff_us(attempt, rng)
+            attempt += 1
             self.retries += 1
-            backoff = 20 * MILLISECOND * (2 ** (attempt - 1))
-            yield wait(backoff + rng.randint(0, backoff // 2))
+            yield wait(backoff)
 
 
 def _pareto_frontier(cells: List[Dict[str, Any]]) -> None:
@@ -340,31 +346,28 @@ def _run_model_once(
         diurnal=curve, start=interarrival_us,
     ))
 
-    unit_latency = LogHistogram()
-    phase_latency = {name: LogHistogram() for name in ("as", "tgs", "ap")}
-    counters = {"completed": 0, "tgs_seen_at_restore": 0}
-    errors: Dict[str, int] = {}
     recorded_tgs: List[Tuple[str, int, bytes, int]] = []
-    window = fault_window(faults, requests, shards)
+    ranks = [zipf.sample() for _ in range(requests)]
 
     # TGS authenticator fingerprints: unique per op, mixed with a
     # seed-derived tag so different seeds populate (and route through)
     # the caches differently — but NOT with wall time, so runs replay.
     run_tag = seed_rng.fork("fingerprints").random_uint32()
 
-    def unit_process(op: int, intended: int, rank: int) -> Iterator[Any]:
+    def unit(op: int, intended: int, finish: Finish) -> Iterator[Any]:
         sampler.poll()
+        rank = ranks[op]
         client = keys.name(rank)
         keys.key_for(rank)  # the AS key lookup: derive-on-first-touch
+        marks = [intended]
         outcome, _ = yield from model._request(
             AS_SERVICE, shard_of(client, shards), cal["as_block_ops"],
             client, b"", backoff_rng,
         )
-        as_end = clock.now()
         if outcome != "ok":
-            errors[outcome] = errors.get(outcome, 0) + 1
+            finish(marks, outcome)
             return
-        phase_latency["as"].record(as_end - intended)
+        marks.append(clock.now())
         yield wait(0)
 
         fingerprint = hashlib.sha1(
@@ -376,56 +379,33 @@ def _run_model_once(
             TGS_SERVICE, primary, cal["tgs_block_ops"], client, fingerprint,
             backoff_rng, auth_timestamp=auth_time,
         )
-        tgs_end = clock.now()
         if outcome != "ok":
-            errors[outcome] = errors.get(outcome, 0) + 1
+            finish(marks, outcome)
             return
+        marks.append(clock.now())
         recorded_tgs.append((client, auth_time, fingerprint, served_by))
-        phase_latency["tgs"].record(tgs_end - as_end)
         yield wait(0)
 
         yield wait(cal["ap_us"])
-        ap_end = clock.now()
-        phase_latency["ap"].record(ap_end - tgs_end)
-        unit_latency.record(ap_end - intended)
-        counters["completed"] += 1
+        marks.append(clock.now())
+        finish(marks, None)
 
-    def restore_victim() -> None:
-        model.down.clear()
-        counters["tgs_seen_at_restore"] = len(recorded_tgs)
-
-    # Fault timers before unit spawns: FIFO tie-breaking then fires the
-    # outage before the unit that defines the window boundary.
-    if window is not None:
-        victim = window["shard"]
-        sched.at(arrivals[window["first_op"]],
-                 lambda: model.down.add(victim))
-        sched.at(arrivals[window["last_op"] + 1], restore_victim)
-    ranks = [zipf.sample() for _ in range(requests)]
-    sim_start = clock.now()
-    for op, intended in enumerate(arrivals):
-        sched.spawn(unit_process(op, intended, ranks[op]), at_time=intended)
-    sched.run()
-    sampler.tick()  # final reading at end-of-run state
-    sim_elapsed_us = clock.now() - sim_start
-
-    # -- replay probe: re-offer recorded TGS authenticators -------------
-    # The most recent inserts are the ones LRU churn cannot have evicted
-    # yet; when faults ran, only post-restore recordings are probed (the
-    # engine harness makes the same cut, for the same affinity reason).
-    probe = {"attempted": 0, "rejected": 0}
-    eligible = (recorded_tgs[counters["tgs_seen_at_restore"]:]
-                if faults else recorded_tgs)
-    for client, auth_time, fingerprint, served_by in eligible[-REPLAY_PROBES:]:
-        probe["attempted"] += 1
-        fresh = model.shards[served_by].replay_cache.check_and_store(
+    def replay(recording: Tuple[str, int, bytes, int]) -> bool:
+        """Re-offer a recorded authenticator to the shard that served
+        it; the most recent inserts are the ones LRU churn cannot have
+        evicted yet."""
+        client, auth_time, fingerprint, served_by = recording
+        return not model.shards[served_by].replay_cache.check_and_store(
             client, auth_time, fingerprint, clock.now(), REPLAY_HORIZON_US,
         )
-        if not fresh:
-            probe["rejected"] += 1
 
+    driven = run_units(
+        sched, sampler, arrivals, fault_window(faults, requests, shards),
+        unit, fail=model.down.add, restore=model.down.discard,
+        recorded=lambda: recorded_tgs, replay=replay,
+    )
     return LoadRun(
-        frontend=model, sched=sched, sampler=sampler,
+        frontend=model,
         workload={
             "mode": "model",
             "principals": {
@@ -436,15 +416,7 @@ def _run_model_once(
             "diurnal": bool(diurnal),
             "calibration": cal,
         },
-        latency_us={
-            "unit": unit_latency.summary(),
-            "as": phase_latency["as"].summary(),
-            "tgs": phase_latency["tgs"].summary(),
-            "ap": phase_latency["ap"].summary(),
-        },
-        completed=counters["completed"], errors=errors,
-        sim_elapsed_us=sim_elapsed_us, fault_window=window,
-        client_retries=model.retries, probe=probe,
+        client_retries=model.retries, **driven,
     )
 
 

@@ -1,9 +1,10 @@
 """Same seed, same bytes: the load harness double-run witness.
 
 The acceptance bar for the whole determinism family is dynamic: run
-``load --principals 20000 --quick`` twice in-process with the same seed
-and the serialized reports (on their deterministic surface — wall-time
-throughput lines are informational by contract) must be byte-identical.
+``load --quick`` and ``load --principals 20000 --quick`` each twice
+in-process with the same seed and each pair of serialized reports (on
+their deterministic surface — wall-time throughput lines are
+informational by contract) must be byte-identical.
 These tests drive :mod:`repro.lint.simconsistency` directly, including
 the canonicalisation rules the comparison depends on.
 """
@@ -44,12 +45,41 @@ def test_scale_reports_byte_identical_across_runs():
     assert runs[0] == runs[1]
 
 
+def test_engine_reports_byte_identical_across_runs():
+    """Engine mode runs the same unit driver, so it carries the same
+    claim: two same-seed quick runs serialize identically."""
+    runs = [
+        canonical_report_bytes(run_load(seed=0, quick=True, out_path=None))
+        for _ in range(2)
+    ]
+    assert runs[0] == runs[1]
+
+
 def test_check_determinism_agrees_on_clean_tree():
     report = check_determinism(static_findings=0)
     assert report.identical, report.first_divergence
     assert report.agrees
     assert "byte-identical" in report.render()
     assert "agree" in report.render()
+    assert "engine mode" in report.render()
+
+
+def test_check_determinism_names_the_mode_that_diverged(monkeypatch):
+    import repro.load
+
+    calls = []
+
+    def fake_run_load(principals=None, **_kwargs):
+        calls.append(principals)
+        # Scale mode is stable; engine mode leaks a run counter.
+        return {"ops": 7 if principals else len(calls)}
+
+    monkeypatch.setattr(repro.load, "run_load", fake_run_load)
+    report = check_determinism(static_findings=0, principals=500)
+    assert calls == [None, None, 500, 500]
+    assert not report.identical and not report.agrees
+    assert report.first_divergence.startswith("engine mode: ")
+    assert "scale mode" not in report.first_divergence
 
 
 def test_disagreement_is_reported_not_hidden():

@@ -210,6 +210,24 @@ def test_engine_and_scale_reports_share_one_key_tree(report):
     assert trees[0] == trees[1]
 
 
+def test_refused_requests_add_up_in_both_modes(report):
+    """Both frontends count every request they are offered and every
+    one they refuse: a request is served or refused, and a refused one
+    is retried or ends its unit ``unavailable``."""
+    engine = run_load(quick=True, shards=report["config"]["shards"],
+                      seed=0, out_path=None)
+    for run in (engine, report):
+        cluster, degrade = run["cluster"], run["degradation"]
+        served = sum(sum(shard["served"].values())
+                     for shard in cluster["per_shard"])
+        mode = run["workload"]["mode"]
+        assert degrade["unavailable_replies"] == cluster["unavailable"] > 0
+        assert sum(cluster["requests"].values()) \
+            == served + cluster["unavailable"], mode
+        assert degrade["client_retries"] == cluster["unavailable"] \
+            - degrade["errors"].get("unavailable", 0), mode
+
+
 def test_render_report_shows_principals_and_curve(report):
     text = render_report(report)
     assert "30,000 total" in text

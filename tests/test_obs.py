@@ -182,12 +182,13 @@ def test_histogram_summary_and_percentiles():
     registry = MetricsRegistry()
     hist = registry.histogram("latency")
     for v in [10, 20, 30, 40, 100]:
-        hist.observe(v)
+        hist.record(v)
     summary = hist.summary()
     assert summary["count"] == 5
-    assert summary["min"] == 10 and summary["max"] == 100
+    assert summary["max"] == 100
     assert summary["p50"] == 30
     assert registry.histogram("latency") is hist  # same name, same object
+    assert registry.snapshot()["histograms"]["latency"] == summary
 
 
 def test_registry_renders_deterministically():
@@ -195,7 +196,7 @@ def test_registry_renders_deterministically():
         registry = MetricsRegistry()
         registry.counter("b").inc(svc="y")
         registry.counter("a").inc(svc="x", other="z")
-        registry.histogram("h").observe(7)
+        registry.histogram("h").record(7)
         return registry
 
     one, two = build(), build()

@@ -7,6 +7,8 @@ agree bucket for bucket, or the per-shard recording in
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.timeseries import (
     LogHistogram, RingBuffer, TickSampler, percentile_of,
@@ -36,6 +38,28 @@ def test_relative_error_is_bounded_by_sub_bits():
     assert hist.count == len(values)
     assert hist.max_value == 2**30
     assert hist.min_value == 1
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**40), min_size=1,
+                max_size=300))
+@settings(max_examples=200, deadline=None)
+def test_summary_is_within_one_sub_bucket_of_exact(values):
+    """Percentiles are bucket lower bounds: never above the exact
+    nearest-rank value and less than 1/64 below it.  Count, mean and
+    max are exact."""
+    hist = LogHistogram(sub_bits=6)
+    for value in values:
+        hist.record(value)
+    summary = hist.summary()
+    ordered = sorted(values)
+    for p in (50, 95, 99):
+        exact = ordered[min(len(ordered) - 1, int(p / 100 * len(ordered)))]
+        reported = summary[f"p{p}"]
+        assert reported <= exact
+        assert 64 * (exact - reported) < max(exact, 1)
+    assert summary["count"] == len(values)
+    assert summary["mean"] == sum(values) // len(values)
+    assert summary["max"] == max(values)
 
 
 def test_percentiles_never_exceed_max():
