@@ -21,21 +21,14 @@ __all__ = ["md4", "MD4"]
 _MASK = 0xFFFFFFFF
 
 
-def _left_rotate(value: int, amount: int) -> int:
-    value &= _MASK
-    return ((value << amount) | (value >> (32 - amount))) & _MASK
-
-
-def _f(x: int, y: int, z: int) -> int:
-    return (x & y) | (~x & z)
-
-
-def _g(x: int, y: int, z: int) -> int:
-    return (x & y) | (x & z) | (y & z)
-
-
-def _h(x: int, y: int, z: int) -> int:
-    return x ^ y ^ z
+# (message word, rotation) per step.  Round 2 walks the words by
+# column, round 3 in the bit-reversal order of their low 4 bits.
+_ROUND1 = tuple((i, (3, 7, 11, 19)[i % 4]) for i in range(16))
+_ROUND2 = tuple((i % 4 * 4 + i // 4, (3, 5, 9, 13)[i % 4]) for i in range(16))
+_ROUND3 = tuple(
+    (k, (3, 9, 11, 15)[i % 4])
+    for i, k in enumerate((0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15))
+)
 
 
 class MD4:
@@ -76,49 +69,18 @@ class MD4:
     def _compress(self, block: bytes) -> None:
         x = struct.unpack("<16I", block)
         a, b, c, d = self._state
-
-        # Round 1.
-        for i in range(16):
-            k = i
-            s = (3, 7, 11, 19)[i % 4]
-            target = (16 - i) % 4
-            if target == 0:
-                a = _left_rotate(a + _f(b, c, d) + x[k], s)
-            elif target == 3:
-                d = _left_rotate(d + _f(a, b, c) + x[k], s)
-            elif target == 2:
-                c = _left_rotate(c + _f(d, a, b) + x[k], s)
-            else:
-                b = _left_rotate(b + _f(c, d, a) + x[k], s)
-
-        # Round 2.
-        for i in range(16):
-            k = (i % 4) * 4 + i // 4
-            s = (3, 5, 9, 13)[i % 4]
-            target = (16 - i) % 4
-            if target == 0:
-                a = _left_rotate(a + _g(b, c, d) + x[k] + 0x5A827999, s)
-            elif target == 3:
-                d = _left_rotate(d + _g(a, b, c) + x[k] + 0x5A827999, s)
-            elif target == 2:
-                c = _left_rotate(c + _g(d, a, b) + x[k] + 0x5A827999, s)
-            else:
-                b = _left_rotate(b + _g(c, d, a) + x[k] + 0x5A827999, s)
-
-        # Round 3 uses the bit-reversal order of the low 4 bits.
-        order = (0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15)
-        for i in range(16):
-            k = order[i]
-            s = (3, 9, 11, 15)[i % 4]
-            target = (16 - i) % 4
-            if target == 0:
-                a = _left_rotate(a + _h(b, c, d) + x[k] + 0x6ED9EBA1, s)
-            elif target == 3:
-                d = _left_rotate(d + _h(a, b, c) + x[k] + 0x6ED9EBA1, s)
-            elif target == 2:
-                c = _left_rotate(c + _h(d, a, b) + x[k] + 0x6ED9EBA1, s)
-            else:
-                b = _left_rotate(b + _h(c, d, a) + x[k] + 0x6ED9EBA1, s)
+        # Each step updates the register in a's seat from the other three
+        # (F, G or H of b, c, d), then the seats rotate one place, so after
+        # every fourth step each register is back in its own seat.
+        for k, s in _ROUND1:  # F(b, c, d) = b ? c : d
+            t = (a + (d ^ (b & (c ^ d))) + x[k]) & _MASK
+            a, b, c, d = d, ((t << s) | (t >> (32 - s))) & _MASK, b, c
+        for k, s in _ROUND2:  # G(b, c, d) = majority
+            t = (a + ((b & c) | (d & (b | c))) + x[k] + 0x5A827999) & _MASK
+            a, b, c, d = d, ((t << s) | (t >> (32 - s))) & _MASK, b, c
+        for k, s in _ROUND3:  # H(b, c, d) = parity
+            t = (a + (b ^ c ^ d) + x[k] + 0x6ED9EBA1) & _MASK
+            a, b, c, d = d, ((t << s) | (t >> (32 - s))) & _MASK, b, c
 
         self._state = [
             (self._state[0] + a) & _MASK,

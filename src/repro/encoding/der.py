@@ -30,8 +30,10 @@ __all__ = [
     "encode_sequence",
     "encode_context",
     "encode_application",
+    "encode_header",
     "decode",
     "decode_all",
+    "decode_length",
 ]
 
 _TAG_INTEGER = 0x02
@@ -46,15 +48,16 @@ class DerError(ValueError):
     """Malformed DER input."""
 
 
-def _encode_length(length: int) -> bytes:
+def encode_header(tag: int, length: int) -> bytes:
+    """The tag and definite-length octets in front of *length* content bytes."""
     if length < 0x80:
-        return bytes([length])
+        return bytes((tag, length))
     body = length.to_bytes((length.bit_length() + 7) // 8, "big")
-    return bytes([0x80 | len(body)]) + body
+    return bytes((tag, 0x80 | len(body))) + body
 
 
 def _encode_tlv(tag: int, content: bytes) -> bytes:
-    return bytes([tag]) + _encode_length(len(content)) + content
+    return encode_header(tag, len(content)) + content
 
 
 def encode_integer(value: int) -> bytes:
@@ -101,7 +104,12 @@ def encode_application(tag_number: int, content: bytes) -> bytes:
     return _encode_tlv(_CLASS_APPLICATION | tag_number, content)
 
 
-def _decode_length(data: bytes, offset: int) -> Tuple[int, int]:
+def decode_length(data: bytes, offset: int) -> Tuple[int, int]:
+    """The length whose first octet is at *offset*, and the offset after it.
+
+    DER (X.690 §10.1) wants the fewest length octets: a long form must
+    not start with a zero octet, nor encode a value short form can hold.
+    """
     if offset >= len(data):
         raise DerError("truncated length")
     first = data[offset]
@@ -114,7 +122,7 @@ def _decode_length(data: bytes, offset: int) -> Tuple[int, int]:
     if offset + count > len(data):
         raise DerError("truncated long-form length")
     value = int.from_bytes(data[offset:offset + count], "big")
-    if value < 0x80 and count == 1:
+    if data[offset] == 0 or value < 0x80:
         raise DerError("non-minimal length encoding")
     return value, offset + count
 
@@ -132,7 +140,7 @@ def decode(data: bytes, offset: int = 0) -> Tuple[int, Any, int]:
     if offset >= len(data):
         raise DerError("truncated tag")
     tag = data[offset]
-    length, body_start = _decode_length(data, offset + 1)
+    length, body_start = decode_length(data, offset + 1)
     body_end = body_start + length
     if body_end > len(data):
         raise DerError("content extends past end of data")

@@ -21,8 +21,9 @@ happily accept stale authenticators (E4).
 
 from __future__ import annotations
 
+import heapq
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.checksum import ChecksumType, compute
 from repro.kerberos.config import ProtocolConfig
@@ -60,6 +61,9 @@ def validation_event(service: str, client: str, error: "ValidationError") -> Eve
     )
 
 
+_Key = Tuple[str, int, bytes]
+
+
 class ReplayCache:
     """Server-side store of live authenticators.
 
@@ -67,15 +71,20 @@ class ReplayCache:
     expire once older than the authenticator lifetime plus skew, so the
     cache stays bounded — that growth is measured by benchmark E14.
 
+    Expiry pops a min-heap of ``(timestamp, key)`` kept beside the
+    entries, so a check costs the entries it expires rather than a scan
+    of every live one.  The timestamp is part of the key, so a popped
+    key that is still present is exactly an entry the scan would drop.
+
     The UDP-retransmission problem the paper raises is real here too: a
     *legitimate* retransmission of the same request is indistinguishable
     from a replay and will be rejected; callers model retransmission by
     re-sending the same bytes (see ``repro.defenses.replay_cache``).
     """
 
-    def __init__(self):
-        self._entries: Dict[Tuple[str, int, bytes], int] = {}
-        self.false_alarms = 0  # legitimate retransmissions rejected
+    def __init__(self) -> None:
+        self._entries: Dict[_Key, int] = {}
+        self._expiry: List[Tuple[int, _Key]] = []
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -89,13 +98,22 @@ class ReplayCache:
         key = (client, timestamp, fingerprint)
         if key in self._entries:
             return False
-        self._entries[key] = timestamp
+        self._store(key, timestamp)
         return True
 
+    def _store(self, key: _Key, timestamp: int) -> None:
+        self._entries[key] = timestamp
+        heapq.heappush(self._expiry, (timestamp, key))
+        # Keys forgotten early (LRU evictions) leave stale heap entries.
+        if len(self._expiry) > 2 * len(self._entries) + 64:
+            self._expiry = [(ts, k) for k, ts in self._entries.items()]
+            heapq.heapify(self._expiry)
+
     def _expire(self, now: int, horizon: int) -> None:
-        dead = [k for k, ts in self._entries.items() if ts < now - horizon]
-        for k in dead:
-            del self._entries[k]
+        cutoff = now - horizon
+        expiry = self._expiry
+        while expiry and expiry[0][0] < cutoff:
+            self._entries.pop(heapq.heappop(expiry)[1], None)
 
 
 class LruReplayCache(ReplayCache):
@@ -123,7 +141,7 @@ class LruReplayCache(ReplayCache):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
-        self._entries: "OrderedDict[Tuple[str, int, bytes], int]" = OrderedDict()
+        self._entries: "OrderedDict[_Key, int]" = OrderedDict()
         self.hits = 0        # replays caught
         self.evictions = 0   # fresh entries forgotten to stay bounded
 
@@ -137,10 +155,10 @@ class LruReplayCache(ReplayCache):
             self._entries.move_to_end(key)
             self.hits += 1
             return False
-        self._entries[key] = timestamp
-        while len(self._entries) > self.capacity:
+        while len(self._entries) >= self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
+        self._store(key, timestamp)
         return True
 
 

@@ -139,27 +139,6 @@ class LazyPrincipalKeys:
         return key
 
 
-class _BatchedExpiryCache(LruReplayCache):
-    """The real LRU cache with the O(n) time-expiry scan batched.
-
-    ``ReplayCache._expire`` walks every live entry on every check —
-    invisible at engine scale, quadratic pain at 10^5 checks against
-    full 4096-entry caches.  Membership, LRU recency, hit and eviction
-    accounting are untouched; only the expiry sweep runs at horizon/8
-    granularity, far finer than the freshness semantics need.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        super().__init__(capacity)
-        self._next_sweep = 0
-
-    def _expire(self, now: int, horizon: int) -> None:
-        if now < self._next_sweep:
-            return
-        super()._expire(now, horizon)
-        self._next_sweep = now + max(1, horizon // 8)
-
-
 def calibrate(seed: int = 0) -> Dict[str, int]:
     """Measure per-phase wire time and DES cost from the real engine.
 
@@ -227,7 +206,7 @@ class _Model:
         self.sched = Scheduler(self.clock)
         self.cal = cal
         self.shards = [
-            Shard(i, f"model-s{i}", _BatchedExpiryCache(replay_capacity),
+            Shard(i, f"model-s{i}", LruReplayCache(replay_capacity),
                   WorkerPool(workers_per_shard))
             for i in range(shards)
         ]

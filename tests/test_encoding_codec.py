@@ -52,29 +52,42 @@ def test_roundtrip_property_v5(values):
     assert V5Codec.decode(TICKET_LIKE, V5Codec.encode(TICKET_LIKE, values)) == values
 
 
+def assert_rejected_as_validate_words_it(codec, values):
+    with pytest.raises(CodecError) as expected:
+        TICKET_LIKE.validate(values)
+    with pytest.raises(CodecError) as rejected:
+        codec.encode(TICKET_LIKE, values)
+    assert str(rejected.value) == str(expected.value)
+
+
 @pytest.mark.parametrize("codec", [V4Codec, V5Codec])
 def test_missing_field_rejected(codec):
     bad = dict(VALUES)
     del bad["key"]
-    with pytest.raises(CodecError):
-        codec.encode(TICKET_LIKE, bad)
+    assert_rejected_as_validate_words_it(codec, bad)
+    # Same field count, one name swapped: missing and unexpected at once.
+    assert_rejected_as_validate_words_it(codec, dict(bad, extra=b""))
 
 
 @pytest.mark.parametrize("codec", [V4Codec, V5Codec])
 def test_extra_field_rejected(codec):
-    bad = dict(VALUES, extra=1)
-    with pytest.raises(CodecError):
-        codec.encode(TICKET_LIKE, bad)
+    assert_rejected_as_validate_words_it(codec, dict(VALUES, extra=1))
 
 
 @pytest.mark.parametrize("codec", [V4Codec, V5Codec])
 def test_type_mismatch_rejected(codec):
-    with pytest.raises(CodecError):
-        codec.encode(TICKET_LIKE, dict(VALUES, stamp="not an int"))
-    with pytest.raises(CodecError):
-        codec.encode(TICKET_LIKE, dict(VALUES, key="not bytes"))
-    with pytest.raises(CodecError):
-        codec.encode(TICKET_LIKE, dict(VALUES, stamp=-1))
+    for bad in (dict(VALUES, stamp="not an int"), dict(VALUES, key="not bytes"),
+                dict(VALUES, stamp=-1), dict(VALUES, server=None),
+                dict(VALUES, key=memoryview(b"x")),
+                # The mistyped field outranks an unencodable string before it.
+                dict(VALUES, server="\ud800", stamp=-1)):
+        assert_rejected_as_validate_words_it(codec, bad)
+
+
+def test_v5_unencodable_string_raises_like_der():
+    bad = dict(VALUES, client="\ud800")
+    with pytest.raises(UnicodeEncodeError):
+        V5Codec.encode(TICKET_LIKE, bad)
 
 
 def test_v4_cross_schema_confusion_succeeds():

@@ -85,6 +85,15 @@ def test_nonminimal_length_rejected():
     blob = bytes([0x04, 0x81, 0x05]) + b"12345"
     with pytest.raises(der.DerError):
         der.decode(blob)
+    # Two length octets with a leading zero, for values short form and
+    # one octet would each hold (X.690 §10.1: the fewest octets).
+    with pytest.raises(der.DerError, match="non-minimal length"):
+        der.decode(bytes([0x04, 0x82, 0x00, 0x03]) + b"abc")
+    with pytest.raises(der.DerError, match="non-minimal length"):
+        der.decode(bytes([0x04, 0x82, 0x00, 0x80]) + b"x" * 0x80)
+    # The minimal long forms still parse.
+    assert der.decode(bytes([0x04, 0x81, 0x80]) + b"x" * 0x80)[1] == b"x" * 0x80
+    assert der.decode(bytes([0x04, 0x82, 0x01, 0x00]) + b"x" * 0x100)[1] == b"x" * 0x100
 
 
 def test_empty_integer_rejected():

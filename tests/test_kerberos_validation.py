@@ -1,13 +1,17 @@
 """Each authenticator/ticket check, exercised individually."""
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.checksum import ChecksumType, compute
 from repro.kerberos.config import ProtocolConfig
 from repro.kerberos.principal import Principal
 from repro.kerberos.tickets import Authenticator, Ticket
 from repro.kerberos.validation import (
-    ReplayCache, ValidationError, validate_authenticator,
+    LruReplayCache, ReplayCache, ValidationError, validate_authenticator,
 )
 from repro.sim.clock import MINUTE
 
@@ -131,6 +135,69 @@ def test_replay_cache_expires_entries():
     assert len(cache) == 1
     cache.check_and_store("c", NOW + 20 * MINUTE, b"g", NOW + 20 * MINUTE, horizon)
     assert len(cache) == 1  # the old entry aged out
+
+
+class ScanningReplayCache:
+    """The reference: expire by scanning every live entry on each check;
+    with a capacity, keep LRU order and evict as :class:`LruReplayCache`."""
+
+    def __init__(self, capacity=None):
+        self.capacity = capacity
+        self.entries = OrderedDict()
+        self.hits = 0
+        self.evictions = 0
+
+    def check_and_store(self, client, timestamp, fingerprint, now, horizon):
+        for key in [k for k, ts in self.entries.items() if ts < now - horizon]:
+            del self.entries[key]
+        key = (client, timestamp, fingerprint)
+        if key in self.entries:
+            if self.capacity is not None:
+                self.entries.move_to_end(key)
+            self.hits += 1
+            return False
+        self.entries[key] = timestamp
+        while self.capacity is not None and len(self.entries) > self.capacity:
+            self.entries.popitem(last=False)
+            self.evictions += 1
+        return True
+
+
+# Checks draw from a few (client, timestamp, fingerprint) keys, so they
+# repeat; now drifts forward with the odd step back, so timestamps land
+# on either side of it and out of order.
+KEYS = st.lists(
+    st.tuples(st.sampled_from("ab"), st.integers(0, 40), st.sampled_from([b"f", b"g"])),
+    min_size=1, max_size=8,
+)
+CHECKS = st.lists(st.tuples(st.integers(-2, 5), st.integers(0, 7)), min_size=10, max_size=120)
+
+
+@pytest.mark.parametrize("capacity", [None, 1, 3, 8])
+@given(keys=KEYS, checks=CHECKS, horizon=st.sampled_from([5, 20]))
+@settings(max_examples=150, deadline=None)
+def test_heap_expiry_matches_scanning_reference(capacity, keys, checks, horizon):
+    cache = ReplayCache() if capacity is None else LruReplayCache(capacity)
+    reference = ScanningReplayCache(capacity)
+    now = 0
+    for step, index in checks:
+        now += step
+        args = (*keys[index % len(keys)], now, horizon)
+        assert cache.check_and_store(*args) == reference.check_and_store(*args)
+        assert len(cache) == len(reference.entries)
+        assert list(cache._entries) == list(reference.entries)
+    if capacity is not None:
+        assert (cache.hits, cache.evictions) == (reference.hits, reference.evictions)
+
+
+def test_expiry_heap_bounded_under_lru_evictions():
+    cache = LruReplayCache(capacity=16)
+    for i in range(10_000 + 16):
+        assert cache.check_and_store("c", i, b"f", i, 10**9)
+        assert len(cache._expiry) <= 2 * len(cache) + 64
+        # Every live entry keeps a heap entry, so it will still expire.
+        assert set(cache._entries) <= {key for _, key in cache._expiry}
+    assert cache.evictions == 10_000
 
 
 def test_ticket_binding_checksum():
