@@ -16,8 +16,8 @@ intentionally measures host wall time for informational throughput
 lines (``wall_seconds``/``ops_per_wall_s`` — their files are on the
 wall-budget allowlist for exactly that reason), attaches live helper
 objects under ``_``-prefixed keys, and records where it wrote the
-report.  :func:`canonical_report_bytes` strips those before comparing;
-everything else must match to the byte.
+report and which interpreter ran it.  :func:`canonical_report_bytes`
+strips those before comparing; everything else must match to the byte.
 """
 
 from __future__ import annotations
@@ -30,8 +30,10 @@ __all__ = ["canonical_report_bytes", "DeterminismReport",
            "check_determinism"]
 
 #: Report keys outside the deterministic surface: host wall-time
-#: measurements (informational by contract) and the output location.
-_WALL_KEYS = frozenset({"wall_seconds", "ops_per_wall_s", "written_to"})
+#: measurements (informational by contract), the interpreter version
+#: and the output location.
+_HOST_KEYS = frozenset({"wall_seconds", "ops_per_wall_s", "python",
+                        "written_to"})
 
 
 def _canonical(value: Any) -> Any:
@@ -39,7 +41,7 @@ def _canonical(value: Any) -> Any:
         return {
             key: _canonical(sub) for key, sub in value.items()
             if not (isinstance(key, str)
-                    and (key.startswith("_") or key in _WALL_KEYS))
+                    and (key.startswith("_") or key in _HOST_KEYS))
         }
     if isinstance(value, (list, tuple)):
         return [_canonical(sub) for sub in value]
@@ -50,7 +52,8 @@ def canonical_report_bytes(report: Dict[str, Any]) -> bytes:
     """The report's deterministic surface, serialized canonically.
 
     Drops ``_``-prefixed keys (live helper objects the harness attaches
-    after writing), ``written_to``, and the informational wall-time
+    after writing), ``written_to``, ``python`` (so one seed gives one
+    surface on every interpreter), and the informational wall-time
     throughput fields at any nesting depth, then dumps with sorted keys.
     """
     return json.dumps(_canonical(report), sort_keys=True,

@@ -21,6 +21,7 @@ def test_canonical_bytes_strip_the_nondeterministic_surface():
         "wall_seconds": 1.23,
         "ops_per_wall_s": 5.7,
         "written_to": "/tmp/x.json",
+        "python": "3.11.7",
         "_model": object(),
         "nested": {"latency_us": [1, 2], "wall_seconds": 9.9, "_raw": []},
     }
