@@ -15,7 +15,7 @@ from repro.suite import SCENARIOS, run_attack_matrix
 
 def main() -> None:
     print(f"running {len(SCENARIOS)} attack scenarios x 3 protocol "
-          "generations (deterministic, ~1 min)...\n")
+          "generations (deterministic, ~0.2 s)...\n")
     matrix = run_attack_matrix()
     print("Bellovin & Merritt 1991 — " + matrix.render())
     print()

@@ -9,8 +9,7 @@ Commands:
 * ``audit``       — re-run one scenario with defender telemetry attached
   and print the event log, metrics, and detectability verdict;
 * ``perf``        — micro-benchmark the crypto fast path, the modes, a
-  full exchange, and the (serial vs parallel) matrix, writing
-  ``BENCH_crypto.json``;
+  full exchange, and the matrix, writing ``BENCH_crypto.json``;
 * ``crack``       — benchmark the paper's offline dictionary attack
   against recorded AS replies, table-driven vs bitsliced backends,
   writing ``BENCH_crack.json`` (guesses/s, lane width, speedup);
@@ -20,8 +19,8 @@ Commands:
   the simulation stack, and/or the key-material flow family
   (``--family crypto``) tracing secrets into logs, error text, and
   wire cleartext, reporting text, JSON, or SARIF 2.1.0
-  (``--consistency`` pins the verdicts dynamically — attack-matrix
-  agreement, a same-seed double run asserting byte-identical
+  (``--consistency`` pins the verdicts dynamically — checker == lint
+  == live matrix, a same-seed double run asserting byte-identical
   reports, or a planted-canary-key artifact scan;
   ``--jobs N`` parallelises the scan);
 * ``check``       — re-derive the attack matrix symbolically with the
@@ -81,7 +80,7 @@ _EXPERIMENTS = [
     ("E24", "passive adversary's haul", "test_e24_adversary_haul.py"),
     ("E25", "rogue transit realm", "test_e25_rogue_realm.py"),
     ("E26", "hardened-profile ablation", "test_e26_ablation.py"),
-    ("E27", "crypto fast path + parallel matrix", "test_e27_crypto_perf.py"),
+    ("E27", "crypto fast path + matrix timing", "test_e27_crypto_perf.py"),
     ("E28", "sharded KDC under load", "test_e28_kdc_load.py"),
 ]
 
@@ -89,7 +88,7 @@ _EXPERIMENTS = [
 def _cmd_matrix(_args) -> int:
     from repro.suite import run_attack_matrix
 
-    print("running the evaluation matrix (deterministic, ~1 min)...\n")
+    print("running the evaluation matrix (deterministic, ~0.2 s)...\n")
     matrix = run_attack_matrix()
     print(matrix.render())
     clean = matrix.hardened_clean()
@@ -141,10 +140,9 @@ def _cmd_perf(args) -> int:
 
     print("benchmarking the crypto fast path"
           + (" (quick)" if args.quick else "") + "...\n")
-    report = run_perf(quick=args.quick, parallel=args.parallel,
-                      out_path=args.out)
+    report = run_perf(quick=args.quick, out_path=args.out)
     print(render_report(report))
-    return 0 if report["matrix"]["identical_render"] else 1
+    return 0 if report["matrix"]["hardened_clean"] else 1
 
 
 def _cmd_crack(args) -> int:
@@ -273,7 +271,6 @@ def _cmd_lint(args) -> int:
         root=args.root,
         consistency=args.consistency,
         write_baseline_path=args.write_baseline,
-        parallel=args.parallel,
         jobs=args.jobs,
     )
 
@@ -286,7 +283,6 @@ def _cmd_check(args) -> int:
         column=args.column,
         out=args.out,
         consistency=args.consistency,
-        parallel=args.parallel,
         max_rounds=args.max_rounds,
         seed=args.seed,
     )
@@ -447,11 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf.add_argument(
         "--quick", action="store_true",
-        help="CI-smoke sizes: a few seconds instead of ~a minute",
-    )
-    perf.add_argument(
-        "--parallel", type=int, default=4,
-        help="worker count for the parallel matrix timing (default: 4)",
+        help="CI-smoke sizes: under a second instead of a few seconds",
     )
     perf.add_argument(
         "--out", default="BENCH_crypto.json", metavar="PATH",
@@ -540,17 +532,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--consistency", action="store_true",
-        help="also pin the verdicts dynamically: attack-matrix "
-             "agreement for the protocol family (~1 min serial), a "
-             "same-seed double run of the load harness in engine and "
-             "scale mode asserting byte-identical reports for the sim "
-             "family, a "
-             "canary-key witness scanning every emitted artifact for "
-             "unsealed key bytes for the crypto family",
-    )
-    lint.add_argument(
-        "--parallel", type=int, default=None,
-        help="worker processes for the --consistency matrix run",
+        help="also pin the verdicts dynamically: checker, lint and "
+             "live attack-matrix agreement for the protocol family "
+             "(~1 s), a same-seed double run of the load harness in "
+             "engine and scale mode asserting byte-identical reports "
+             "for the sim family, a canary-key witness scanning every "
+             "emitted artifact for unsealed key bytes for the crypto "
+             "family",
     )
     lint.add_argument(
         "--jobs", type=int, default=None,
@@ -577,11 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--consistency", action="store_true",
         help="also run the live attack matrix and the linter, asserting "
-             "all three verdicts agree cell by cell (~1 min serial)",
-    )
-    check.add_argument(
-        "--parallel", type=int, default=None,
-        help="worker processes for the --consistency matrix run",
+             "all three verdicts agree cell by cell (~1 s)",
     )
     check.add_argument(
         "--max-rounds", type=int, default=64,

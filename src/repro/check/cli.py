@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Tuple
 from repro.check.report import (
     CheckCell, evaluate_matrix, render_json, render_sarif, render_text,
 )
-from repro.lint.cli import FORMATS, resolve_columns
+from repro.lint.cli import FORMATS, TRI_BANNER, resolve_columns, run_witness
 
 __all__ = ["run_check", "FORMATS"]
 
@@ -52,7 +52,6 @@ def run_check(
     column: str = "all",
     out: Optional[str] = None,
     consistency: bool = False,
-    parallel: Optional[int] = None,
     max_rounds: int = 64,
     seed: int = 1000,
     echo: Printer = print,
@@ -87,14 +86,8 @@ def run_check(
     if consistency:
         from repro.check.consistency import check_tri_consistency
 
-        echo("")
-        echo("tri-consistency harness: checker vs. lint vs. the live "
-             "attack matrix (deterministic, ~1 min serial)...")
-        report_obj = check_tri_consistency(
-            columns=columns, cells=cells, seed=seed, parallel=parallel,
-        )
-        echo(report_obj.render())
-        if report_obj.disagreements():
+        if not run_witness(TRI_BANNER, lambda: check_tri_consistency(
+                columns=columns, cells=cells, seed=seed), echo):
             exit_code = 1
 
     return exit_code

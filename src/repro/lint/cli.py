@@ -5,9 +5,11 @@ selected rule famil(ies) — ``protocol`` (the paper's misuse catalogue,
 per protocol column), ``sim`` (the determinism / scheduler-safety
 family over the simulation stack), ``crypto`` (the key-material flow
 family), or ``all`` — apply the baseline,
-render in the requested format, optionally run the matching
-consistency harness, and exit non-zero when non-baselined findings
-reach the ``--fail-on`` threshold.
+render in the requested format, optionally run each family's witness
+(a dynamic run that checks the static verdict: the tri-consistency
+harness for ``protocol``, the same-seed double run for ``sim``, the
+canary scan for ``crypto``), and exit non-zero when non-baselined
+findings reach the ``--fail-on`` threshold or a witness disagrees.
 
 Every finding is also published as a
 :class:`repro.obs.events.LintFinding` event, so a
@@ -18,7 +20,9 @@ run exactly like it observes a protocol exchange.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple,
+)
 
 from repro.kerberos.config import ProtocolConfig
 from repro.lint.baseline import (
@@ -40,8 +44,8 @@ from repro.lint.simrules import (
     sim_sarif_rules,
 )
 
-__all__ = ["run_lint", "resolve_columns", "FORMATS", "FAIL_ON",
-           "FAMILIES"]
+__all__ = ["run_lint", "resolve_columns", "run_witness", "Witness",
+           "TRI_BANNER", "FORMATS", "FAIL_ON", "FAMILIES"]
 
 FORMATS: Tuple[str, ...] = ("text", "json", "sarif")
 FAIL_ON: Tuple[str, ...] = ("error", "warn", "never")
@@ -53,6 +57,30 @@ _FAIL_RANK: Dict[str, int] = {
 }
 
 Printer = Callable[[str], None]
+
+#: Banner of the tri-consistency witness, shared with ``check``.
+TRI_BANNER = ("tri-consistency harness: checker vs. lint vs. the live "
+              "attack matrix (deterministic, ~1 s)...")
+
+
+class Witness(Protocol):
+    """A dynamic run's report on a static verdict."""
+
+    @property
+    def agrees(self) -> bool: ...
+
+    def render(self) -> str: ...
+
+
+def run_witness(banner: str, witness: Callable[[], Witness],
+                echo: Printer) -> bool:
+    """Print a blank line and *banner*, run *witness*, print its
+    render, and return whether it agrees with the static verdict."""
+    echo("")
+    echo(banner)
+    report = witness()
+    echo(report.render())
+    return report.agrees
 
 
 def resolve_columns(column: str,
@@ -134,7 +162,6 @@ def run_lint(
     root: Optional[str] = None,
     consistency: bool = False,
     write_baseline_path: Optional[str] = None,
-    parallel: Optional[int] = None,
     jobs: Optional[int] = None,
     family: str = "protocol",
     echo: Printer = print,
@@ -268,41 +295,32 @@ def run_lint(
         exit_code = 1
 
     if consistency and protocol_model is not None:
-        from repro.lint.consistency import check_consistency
+        from repro.check.consistency import check_tri_consistency
 
-        echo("")
-        echo("consistency harness: lint verdicts vs. the attack matrix "
-             "(deterministic, ~1 min serial)...")
-        report_obj = check_consistency(columns=columns,
-                                       model=protocol_model,
-                                       parallel=parallel)
-        echo(report_obj.render())
-        if report_obj.disagreements():
+        if not run_witness(TRI_BANNER, lambda: check_tri_consistency(
+                columns=columns, code_model=protocol_model), echo):
             exit_code = 1
 
     if consistency and sim_model is not None:
         from repro.lint.simconsistency import check_determinism
 
-        echo("")
-        echo("determinism harness: double-running the load harness in "
-             "engine and scale mode with one seed (byte-identity "
-             "witness)...")
         sim_fresh = [f for f in fresh if f.column == SIM_COLUMN]
-        determinism = check_determinism(static_findings=len(sim_fresh))
-        echo(determinism.render())
-        if not determinism.agrees:
+        if not run_witness(
+                "determinism harness: double-running the load harness in "
+                "engine and scale mode with one seed (byte-identity "
+                "witness)...",
+                lambda: check_determinism(static_findings=len(sim_fresh)),
+                echo):
             exit_code = 1
 
     if consistency and crypto_model is not None:
         from repro.lint.cryptoconsistency import check_canary
 
-        echo("")
-        echo("canary harness: planting canary key bytes, driving the "
-             "tree, scanning every emitted artifact for escapes...")
         crypto_fresh = [f for f in fresh if f.column == CRYPTO_COLUMN]
-        canary = check_canary(crypto_fresh)
-        echo(canary.render())
-        if not canary.agrees:
+        if not run_witness(
+                "canary harness: planting canary key bytes, driving the "
+                "tree, scanning every emitted artifact for escapes...",
+                lambda: check_canary(crypto_fresh), echo):
             exit_code = 1
 
     return exit_code

@@ -17,8 +17,9 @@ vulnerable construct) silences the rule even under a vulnerable config,
 and a hardened config silences it even over the real tree.
 
 The verdicts are not a heuristic grep: ``python -m repro lint
---consistency`` (see :mod:`repro.lint.consistency`) pins each mapped
-rule to the live attack-matrix cell it predicts.
+--consistency`` (see :mod:`repro.check.consistency`) pins each mapped
+rule to the model checker's verdict and to the live attack-matrix cell
+it predicts.
 """
 
 from __future__ import annotations

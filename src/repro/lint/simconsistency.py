@@ -9,7 +9,7 @@ If the static scan is clean but the double run diverges, either a rule
 has a blind spot or a new hazard class exists; if the scan finds
 hazards but the runs agree, the hazard simply was not exercised — both
 disagreements are reported, in the spirit of the protocol family's
-lint/attack-matrix consistency harness.
+tri-consistency witness.
 
 Reports are compared on their **deterministic surface**: the harness
 intentionally measures host wall time for informational throughput

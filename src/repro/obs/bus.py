@@ -36,24 +36,12 @@ from repro.obs.sinks import CollectorSink
 if TYPE_CHECKING:
     from repro.sim.clock import SimClock
 
-__all__ = ["Sink", "EventBus", "capture", "reset_captures"]
+__all__ = ["Sink", "EventBus", "capture"]
 
 Sink = Callable[[Event], None]
 
 #: Open :class:`capture` blocks; new buses adopt their sinks on creation.
 _open_captures: List["capture"] = []
-
-
-def reset_captures() -> None:
-    """Forget every open capture without unsubscribing anything.
-
-    For worker *processes* only: a fork can inherit the parent's open
-    capture blocks, whose sinks would then collect into lists the parent
-    never sees and double-count events the worker reports explicitly.
-    ``repro.suite`` calls this at the top of each parallel matrix cell so
-    the worker starts with a clean observability slate.
-    """
-    _open_captures.clear()
 
 
 class EventBus:

@@ -452,17 +452,3 @@ class KdcCluster:
 
     def shard_for_principal(self, principal: Principal) -> ShardServer:
         return self.shards[self.database.home_shard(principal)]
-
-    # Convenience aggregates mirroring the single-Kdc counters.
-
-    @property
-    def as_requests(self) -> int:
-        return sum(s.kdc.as_requests for s in self.shards)
-
-    @property
-    def tgs_requests(self) -> int:
-        return sum(s.kdc.tgs_requests for s in self.shards)
-
-    @property
-    def rejected(self) -> int:
-        return sum(s.kdc.rejected for s in self.shards)

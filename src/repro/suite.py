@@ -11,16 +11,12 @@ that EXPERIMENTS.md reports and ``examples/attack_gallery.py`` prints.
 
 Each scenario builds its own deterministic testbed, runs one attack,
 and returns an :class:`repro.attacks.base.AttackResult`; scenarios never
-share state, so any subset can run in any order — which is also why
-``run_attack_matrix(parallel=N)`` may fan the scenario×column cells out
-over a process pool: each worker runs its cell under its own telemetry
-capture and DES-op meter, and the merged matrix renders byte-identically
-to a serial run.
+share state, so any subset can run in any order and each cell's outcome
+and cost depend only on its scenario, column and seed.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -37,7 +33,7 @@ from repro.attacks.password_guess import clear_guess_memo
 from repro.crypto.des import BLOCK_OPS
 from repro.hardware import HandheldDevice
 from repro.kerberos.config import ProtocolConfig
-from repro.obs import capture, detectability_digest, reset_captures
+from repro.obs import capture, detectability_digest
 from repro.obs.audit import trace_digests
 from repro.obs.trace import Tracer
 from repro.sim.timesvc import UnauthenticatedTimeService
@@ -191,16 +187,13 @@ class Scenario:
     """One attack narrative, runnable against any configuration.
 
     ``rule_ids`` names the :mod:`repro.lint` rules that statically
-    predict this scenario: the consistency harness
-    (:func:`repro.lint.consistency.check_consistency`) asserts, for
-    every column, that *some* mapped rule fires iff the attack wins in
-    that cell.  An empty mapping opts the scenario out of the harness.
-
-    ``property_id`` names the :mod:`repro.check` property whose bounded
-    Dolev-Yao search re-derives the same cell symbolically; the
-    tri-consistency harness (:func:`repro.check.consistency.
-    check_tri_consistency`) pins checker == lint == live outcome for
-    every mapped cell.  Empty opts the scenario out of that harness.
+    predict this scenario, and ``property_id`` the :mod:`repro.check`
+    property whose bounded Dolev-Yao search re-derives the same cell
+    symbolically.  The tri-consistency harness
+    (:func:`repro.check.consistency.check_tri_consistency`) asserts,
+    for every column, that *some* mapped rule fires iff the property is
+    violated iff the attack wins in that cell.  A scenario missing
+    either mapping is out of the harness.
     """
 
     name: str
@@ -362,27 +355,10 @@ def _run_cell(scenario: Scenario, config: ProtocolConfig,
     return outcome
 
 
-def _cell_worker(payload: Tuple[Scenario, str, ProtocolConfig, int]
-                 ) -> Tuple[str, str, AttackResult]:
-    """Process-pool entry point for one cell.
-
-    Each worker starts from a clean slate: any capture blocks inherited
-    from the parent (under the fork start method) are discarded, and the
-    fork-copied ``BLOCK_OPS`` count is zeroed so the per-cell delta the
-    parent merges back is exact.  Scenarios build their own testbeds, so
-    nothing else in the parent's state can leak into the cell.
-    """
-    scenario, label, config, seed = payload
-    reset_captures()
-    BLOCK_OPS.reset()
-    return scenario.name, label, _run_cell(scenario, config, seed)
-
-
 def run_attack_matrix(
     columns: Optional[Sequence[Tuple[str, ProtocolConfig]]] = None,
     seed: int = 1000,
     scenarios: Optional[Sequence[Scenario]] = None,
-    parallel: Optional[int] = None,
 ) -> MatrixResult:
     """Run every scenario against every configuration column.
 
@@ -393,30 +369,12 @@ def run_attack_matrix(
     DES-op meter, so each :class:`AttackResult` comes back with a
     ``detectability`` digest (what the defenders' own telemetry recorded
     while the attack ran) and a ``block_ops`` count (what the attack run
-    cost the deployment in DES block operations).
-
-    With ``parallel=N`` (N > 1) the scenario×column cells fan out over a
-    :class:`~concurrent.futures.ProcessPoolExecutor` of N workers.  Each
-    cell keeps its deterministic per-cell seed and is metered inside its
-    worker; the per-cell ``BLOCK_OPS`` deltas are merged back into this
-    process's global counter, so the rendered matrix — outcomes, detect
-    column, and DES-op counts — and the counter's final state are
-    identical to a serial run's.
+    cost the deployment in DES block operations).  Scenario *i* runs
+    with seed ``seed + i`` in every column.
     """
     columns = list(columns if columns is not None else DEFAULT_COLUMNS)
     chosen = list(scenarios if scenarios is not None else SCENARIOS)
     result = MatrixResult(columns=[label for label, _ in columns])
-    if parallel is not None and parallel > 1:
-        payloads = [
-            (scenario, label, config, seed + index)
-            for index, scenario in enumerate(chosen)
-            for label, config in columns
-        ]
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            for name, label, outcome in pool.map(_cell_worker, payloads):
-                BLOCK_OPS.count += outcome.block_ops or 0
-                result.cells[(name, label)] = outcome
-        return result
     for index, scenario in enumerate(chosen):
         for label, config in columns:
             result.cells[(scenario.name, label)] = _run_cell(

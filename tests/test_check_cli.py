@@ -70,3 +70,18 @@ def test_sarif_report_is_wellformed():
     assert len(run_obj["results"]) == 21
     rule_ids = {rule["id"] for rule in run_obj["tool"]["driver"]["rules"]}
     assert "AUTH-REPLAY" in rule_ids and "INT-PRIV" in rule_ids
+
+
+def test_consistency_agrees_over_the_live_tree():
+    """`check --consistency`, as CI runs it: all 36 cells agree."""
+    code, out = run(consistency=True)
+    assert code == 0, out
+    assert "tri-consistency harness" in out
+    assert "tri-consistency: 36/36 cells agree (100%)" in out
+
+
+def test_consistency_fails_on_a_flipped_cell(flipped_replay):
+    code, out = run(column="hardened", consistency=True)
+    assert code == 1
+    assert "DISAGREE  [AUTH-REPLAY]" in out
+    assert "tri-consistency: 11/12 cells agree" in out

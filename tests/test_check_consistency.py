@@ -84,3 +84,12 @@ def test_every_mapped_property_exists():
     assert len(mapped) == 12
     for scenario in mapped:
         assert scenario.property_id in PROPERTIES_BY_ID, scenario.name
+
+
+def test_every_linted_scenario_is_in_the_harness():
+    """The protocol lint witness runs through this harness, which skips
+    a scenario without a known property: a rule mapping alone must
+    never silently drop its cells."""
+    for scenario in SCENARIOS:
+        if scenario.rule_ids:
+            assert scenario.property_id in PROPERTIES_BY_ID, scenario.name

@@ -3,7 +3,7 @@
 import json
 from pathlib import Path
 
-from repro.lint.cli import resolve_columns, run_lint
+from repro.lint.cli import resolve_columns, run_lint, run_witness
 from repro.obs import capture, event_from_dict
 from repro.obs.events import LintFinding
 
@@ -135,6 +135,49 @@ def test_repo_baseline_covers_the_tree():
     code, text = run(baseline=str(REPO_ROOT / "lint-baseline.json"))
     assert code == 0, text
     assert "no findings" in text
+
+
+# -- dynamic witnesses -------------------------------------------------- #
+
+
+def test_run_witness_prints_banner_then_render():
+    class Stub:
+        agrees = False
+
+        def render(self):
+            return "stub render"
+
+    lines = []
+    assert run_witness("banner...", Stub, lines.append) is False
+    assert lines == ["", "banner...", "stub render"]
+
+
+def test_protocol_consistency_agrees_over_the_live_tree():
+    """`lint --family protocol --baseline lint-baseline.json
+    --consistency`, as CI runs it: checker, lint and live matrix agree
+    on all 36 cells."""
+    code, text = run(baseline=str(REPO_ROOT / "lint-baseline.json"),
+                     consistency=True)
+    assert code == 0, text
+    assert "tri-consistency harness" in text
+    assert "tri-consistency: 36/36 cells agree (100%)" in text
+
+
+def test_protocol_consistency_fails_on_a_flipped_cell(flipped_replay):
+    code, text = run(column="hardened", fail_on="never", consistency=True)
+    assert code == 1
+    assert "DISAGREE  [AUTH-REPLAY]" in text
+    assert "tri-consistency: 11/12 cells agree" in text
+
+
+def test_cli_sim_consistency_runs_the_determinism_witness():
+    """`lint --family sim --consistency` over the live tree: the clean
+    static scan and the byte-identical double run must agree."""
+    code, text = run(family="sim", consistency=True)
+    assert code == 0, text
+    assert "determinism harness" in text
+    assert "byte-identical" in text
+    assert "verdict: agree" in text
 
 
 # -- rule families ------------------------------------------------------ #

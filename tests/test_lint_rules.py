@@ -10,11 +10,12 @@ same vulnerable snippet.
 import pytest
 
 from repro.kerberos.config import ProtocolConfig
-from repro.lint.engine import CodeModel, analyze_source
+from repro.lint.engine import CodeModel, analyze_repro, analyze_source
 from repro.lint.rules import (
-    CODE_COLUMN, RULES, RULES_BY_ID, UNREAD_FLAG_RULE_ID,
+    CODE_COLUMN, RULES, RULES_BY_ID, UNREAD_FLAG_RULE_ID, fired_rule_ids,
     run_all_rules, run_code_rules, run_config_rules,
 )
+from repro.suite import SCENARIOS
 
 
 def model_of(source, file="snippet.py"):
@@ -184,3 +185,23 @@ def test_run_all_rules_is_code_rules_plus_per_column():
     # hardened column is silent; v4 yields exactly NO-PREAUTH.
     assert [(f.rule_id, f.column) for f in findings] == \
         [("NO-PREAUTH", "v4")]
+
+
+def test_every_mapped_rule_exists():
+    for scenario in SCENARIOS:
+        for rule_id in scenario.rule_ids:
+            assert rule_id in RULES_BY_ID, (scenario.name, rule_id)
+
+
+def test_static_predictions_over_the_real_tree():
+    """The headline numbers the paper reproduction promises: the v4
+    column trips at least five distinct rules, v5-draft3 adds its
+    option-abuse findings, and hardened is silent."""
+    model = analyze_repro()
+    v4 = set(fired_rule_ids(model, ProtocolConfig.v4()))
+    d3 = set(fired_rule_ids(model, ProtocolConfig.v5_draft3()))
+    hardened = fired_rule_ids(model, ProtocolConfig.hardened())
+    assert len(v4) >= 5
+    assert {"NO-REPLAY-CACHE", "PCBC-SPLICE", "XREALM-FORGE"} <= v4
+    assert {"WEAK-MAC", "SKEY-REUSE", "CPA-PREFIX"} <= d3
+    assert hardened == []
