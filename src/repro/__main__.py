@@ -185,8 +185,7 @@ def _resolve_scenario(name: str):
 
 def _cmd_audit(args) -> int:
     from repro.obs import (
-        JsonlSink, Tracer, build_spans, capture, detectability_digest,
-        render_events,
+        JsonlSink, Tracer, capture, detectability_digest, render_events,
     )
     from repro.obs.audit import trace_digests
     from repro.obs.metrics import MetricsRegistry, MetricsSink
@@ -228,9 +227,8 @@ def _cmd_audit(args) -> int:
     print()
     print(registry.render_text())
     print()
-    spans = build_spans(cap.events)
-    flagged = [span for span in spans if span.anomalies]
-    print(f"exchanges: {len(spans)} spans, {len(flagged)} with anomalies")
+    perturbed = trace_digests(cap.events)
+    print(f"traces: {tracer.trace_count}, {len(perturbed)} with anomalies")
     if digest:
         anomalies = ", ".join(f"{k}×{v}" for k, v in sorted(digest.items()))
         print(f"detectability: {anomalies}")
@@ -240,7 +238,6 @@ def _cmd_audit(args) -> int:
     else:
         print("detectability: none needed — the attack never got far "
               "enough to trip a check")
-    perturbed = trace_digests(cap.events)
     if perturbed:
         from repro.monitor import render_trace_tree
 

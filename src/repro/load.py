@@ -26,14 +26,15 @@ heap *is* the calendar.
 
 Two modes, one report (``repro-bench-kdc/3``).  Both serve from the
 same :class:`repro.serve.cluster.Shard` (a worker pool plus its replay
-cache), fail over by the same rule
-(:func:`repro.serve.sharding.attempt_order`), back off by the same
-:data:`RETRY_POLICY`, run their units, fault timers and replay probe
-through the one driver :func:`run_units`, and hand a :class:`LoadRun`
-to the one gauge set and the one report builder below.  Each mode
-brings only what differs: how a unit runs its three phases, how a
-shard goes down and comes back, and how a recorded TGS request is
-replayed.
+cache) through the one dispatch loop
+:meth:`repro.serve.cluster.Frontend.dispatch`, which routes, fails over
+and counts every request; back off by the same :data:`RETRY_POLICY`;
+run their units, fault timers and replay probe through the one driver
+:func:`run_units`; and hand a :class:`LoadRun` to the one gauge set
+and the one report builder below.  Each mode brings only what differs:
+how one try is served on one shard, how a unit runs its three phases,
+how a shard goes down and comes back, and how a recorded TGS request
+is replayed.
 
 * **Engine mode** (default): every exchange runs the real Kerberos
   message machinery — real DES, real codecs, real replay caches — with
@@ -58,8 +59,7 @@ import platform
 import time
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Protocol, Sequence,
-    TypeVar,
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, TypeVar,
 )
 
 from repro.kerberos.client import KerberosError, RetryPolicy
@@ -70,7 +70,7 @@ from repro.kerberos.messages import (
 from repro.obs.metrics import MetricsRegistry, MetricsSink
 from repro.obs.timeseries import LogHistogram, TickSampler
 from repro.obs.trace import Tracer
-from repro.serve.cluster import Shard
+from repro.serve.cluster import Frontend
 from repro.serve.pool import DEFAULT_US_PER_BLOCK_OP
 from repro.sim.clock import MILLISECOND, SECOND, SimClock
 from repro.sim.network import Endpoint, NetworkError, WireMessage
@@ -111,24 +111,11 @@ class LoadInputError(ValueError):
     """A load-harness parameter is out of range (the CLI exits 2)."""
 
 
-class Frontend(Protocol):
-    """What the gauges and the report read from a cluster, either mode:
-    :class:`repro.serve.cluster.KdcCluster` or the scale model."""
-
-    realm: str
-    requests: Dict[str, int]
-    failovers: int
-    unavailable: int
-
-    @property
-    def shards(self) -> Sequence[Shard]: ...
-
-
 @dataclass
 class LoadRun:
     """What one run of either mode measured: the report builder's input."""
 
-    frontend: Frontend
+    frontend: Frontend[Any]
     sched: Scheduler
     sampler: TickSampler
     workload: Dict[str, Any]
@@ -153,7 +140,7 @@ def fault_window(faults: bool, requests: int,
             "last_op": (2 * requests) // 3 - 1}
 
 
-def cluster_sampler(clock: SimClock, frontend: Frontend,
+def cluster_sampler(clock: SimClock, frontend: Frontend[Any],
                     client_retries: Callable[[], int],
                     tick_us: int) -> TickSampler:
     """The tick-sampled gauge set both modes report, one reading per
@@ -276,7 +263,6 @@ def run_load(
     out_path: Optional[str] = "BENCH_kdc.json",
     replay_cache_capacity: int = 4096,
     interarrival_us: Optional[int] = None,
-    config: Optional[ProtocolConfig] = None,
     tracer: Optional[Tracer] = None,
     principals: Optional[int] = None,
     zipf_s: float = 1.1,
@@ -329,7 +315,7 @@ def run_load(
             requests = min(requests, 36)
         run = _run_engine(
             shards, clients, requests, workers_per_shard, seed, faults,
-            replay_cache_capacity, interarrival_us, config, tracer, diurnal,
+            replay_cache_capacity, interarrival_us, tracer, diurnal,
         )
     else:
         from repro.serve import scale
@@ -357,7 +343,7 @@ def run_load(
         "faults": faults,
         "replay_cache_capacity": replay_cache_capacity,
         "interarrival_us": interarrival_us,
-        "protocol": "v5-draft3+replay-cache" if config is None else "custom",
+        "protocol": "v5-draft3+replay-cache",
         "us_per_block_op": DEFAULT_US_PER_BLOCK_OP,
     })
     if out_path:
@@ -445,12 +431,10 @@ def _report(run: LoadRun, quick: bool, wall_elapsed: float,
 def _run_engine(
     shards: int, clients: int, requests: int, workers_per_shard: int,
     seed: int, faults: bool, replay_cache_capacity: int,
-    interarrival_us: int, config: Optional[ProtocolConfig],
-    tracer: Optional[Tracer], diurnal: bool,
+    interarrival_us: int, tracer: Optional[Tracer], diurnal: bool,
 ) -> LoadRun:
     """Engine mode: every unit runs the real protocol on a testbed."""
-    protocol = config if config is not None else \
-        ProtocolConfig.v5_draft3().but(replay_cache=True)
+    protocol = ProtocolConfig.v5_draft3().but(replay_cache=True)
     bed = Testbed(
         protocol, seed=seed, shards=shards,
         workers_per_shard=workers_per_shard,

@@ -20,8 +20,8 @@ Three layers:
   counters and histograms, fed from events by :class:`MetricsSink`,
   rendered as text (via :func:`repro.analysis.report.render_table`) or
   JSON.
-* :mod:`repro.obs.audit` — per-exchange spans correlating defender
-  events with the adversary's wire log by ``WireMessage.seq``, and the
+* :mod:`repro.obs.audit` — the correlation of defender events with
+  the adversary's wire log by ``WireMessage.seq``, and the
   *detectability digest* each :class:`repro.attacks.base.AttackResult`
   carries after a matrix run ("attack won but left N anomalous events"
   vs. the paper's worst case, "attack won silently").
@@ -39,8 +39,8 @@ Two more layers arrived with the cluster work:
 """
 
 from repro.obs.audit import (
-    ANOMALY_KINDS, AuditTrail, ExchangeSpan, build_spans,
-    correlate_with_wire_log, detectability_digest, render_events,
+    ANOMALY_KINDS, AuditTrail, correlate_with_wire_log,
+    detectability_digest, render_events,
 )
 from repro.obs.bus import EventBus, capture
 from repro.obs.events import (
@@ -62,13 +62,12 @@ from repro.obs.trace import (
 __all__ = [
     "ANOMALY_KINDS", "AuditTrail", "ClockSkewReject", "CollectorSink",
     "DecryptFailure", "Event", "EventBus", "ExchangeComplete",
-    "ExchangeSpan", "JsonlSink", "LintFinding", "LogHistogram",
+    "JsonlSink", "LintFinding", "LogHistogram",
     "LoginAttempt", "MetricsRegistry",
     "MetricsSink", "PolicyReject", "PreauthFailure", "ReplayCacheHit",
     "RequestRetried", "RingBuffer", "SessionEstablished",
     "ShardUnavailable", "Span", "TicketIssued", "TickSampler", "Tracer",
-    "WireCrossing", "build_spans",
-    "capture", "chrome_trace", "correlate_with_wire_log",
+    "WireCrossing", "capture", "chrome_trace", "correlate_with_wire_log",
     "detectability_digest", "event_from_dict", "percentile_of",
     "read_jsonl", "render_events", "span_forest",
     "validate_traces", "write_chrome_trace",

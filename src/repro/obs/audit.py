@@ -1,12 +1,9 @@
-"""Per-exchange spans, wire-log correlation, and detectability digests.
+"""Wire-log correlation and detectability digests.
 
 The adversary's wire log and the defender's event stream describe the
 same traffic from opposite sides; ``WireMessage.seq`` is the join key.
 This module builds the joined view:
 
-* :func:`build_spans` groups defender events by the request seq that
-  triggered them — one :class:`ExchangeSpan` per request/response
-  exchange, anomalies flagged;
 * :func:`correlate_with_wire_log` checks the 1:1 property between
   :class:`repro.obs.events.WireCrossing` events and ``Adversary.log``
   entries — both taps see the same wire, so a mismatch means an
@@ -27,9 +24,8 @@ from repro.obs.metrics import MetricsRegistry, MetricsSink
 from repro.obs.sinks import CollectorSink
 
 __all__ = [
-    "ANOMALY_KINDS", "AuditTrail", "ExchangeSpan", "build_spans",
-    "correlate_with_wire_log", "detectability_digest", "render_events",
-    "trace_digests",
+    "ANOMALY_KINDS", "AuditTrail", "correlate_with_wire_log",
+    "detectability_digest", "render_events", "trace_digests",
 ]
 
 #: Event kinds an IDS would alert on, in reporting order.
@@ -68,42 +64,6 @@ def trace_digests(events: Sequence[Event]) -> Dict[int, Dict[str, int]]:
         trace_id: {kind: per[kind] for kind in ANOMALY_KINDS if kind in per}
         for trace_id, per in sorted(grouped.items())
     }
-
-
-@dataclass
-class ExchangeSpan:
-    """All defender events correlated to one wire exchange."""
-
-    seq: int
-    service: str = ""
-    src: str = ""
-    wire: List[Event] = field(default_factory=list)      # WireCrossings
-    defender: List[Event] = field(default_factory=list)  # everything else
-
-    @property
-    def anomalies(self) -> List[Event]:
-        return [e for e in self.defender if e.kind in ANOMALY_KINDS]
-
-
-def build_spans(events: Sequence[Event]) -> List[ExchangeSpan]:
-    """Group events by request seq (``seq <= 0`` events are dropped)."""
-    spans: Dict[int, ExchangeSpan] = {}
-    for event in events:
-        if event.seq <= 0:
-            continue
-        span = spans.get(event.seq)
-        if span is None:
-            span = spans[event.seq] = ExchangeSpan(seq=event.seq)
-        if isinstance(event, WireCrossing):
-            span.wire.append(event)
-            if event.direction == "request":
-                span.service = event.service
-                span.src = event.src
-        else:
-            span.defender.append(event)
-            if not span.service and getattr(event, "service", ""):
-                span.service = event.service
-    return [spans[seq] for seq in sorted(spans)]
 
 
 @dataclass
@@ -171,7 +131,6 @@ class AuditTrail:
         trail = bed.attach_audit()
         ... run traffic ...
         trail.digest()                  # detectability digest
-        trail.spans()                   # per-exchange correlation
         trail.correlation(bed.adversary.log).one_to_one
         trail.metrics.render_text()
     """
@@ -190,9 +149,6 @@ class AuditTrail:
 
     def digest(self) -> Dict[str, int]:
         return detectability_digest(self.events)
-
-    def spans(self) -> List[ExchangeSpan]:
-        return build_spans(self.events)
 
     def correlation(self, wire_log: Sequence) -> WireCorrelation:
         return correlate_with_wire_log(self.events, wire_log)

@@ -154,28 +154,6 @@ class Tracer:
         finally:
             self.end(opened)
 
-    def record(self, name: str, begin: int, end: int, **attrs: Any) -> Span:
-        """Append an already-timed span (e.g. a worker-pool slot whose
-        start/finish came from the virtual-time queueing model) as a
-        child of the current span."""
-        if self._stack:
-            top = self._stack[-1]
-            trace_id, parent_id = top.trace_id, top.span_id
-        else:
-            self.trace_count += 1
-            self._sampled = (self.trace_count - 1) % self.sample_every == 0
-            trace_id, parent_id = self.trace_count, 0
-        self._next_span += 1
-        span = Span(
-            trace_id=trace_id, span_id=self._next_span,
-            parent_id=parent_id, name=name, begin=begin, end=end, attrs=attrs,
-        )
-        if self._stack:
-            self._pending.append(span)
-        elif self._sampled:
-            self.spans.append(span)
-        return span
-
     # -- context ---------------------------------------------------------
 
     @property
@@ -199,9 +177,6 @@ class Tracer:
         for spans in out.values():
             spans.sort(key=lambda s: (s.begin, s.span_id))
         return out
-
-    def roots(self) -> List[Span]:
-        return [span for span in self.spans if span.parent_id == 0]
 
 
 # --------------------------------------------------------------------- #

@@ -18,7 +18,9 @@ engine (:mod:`repro.kerberos.kdc`) in a sharded request pipeline:
   failover and honest degradation (``ERR_UNAVAILABLE``) when
   :meth:`repro.sim.network.Network.fail_host` takes a shard down.
 * :mod:`repro.serve.scale` — the calibrated event model that drives the
-  same :class:`Shard` type at 10^5–10^6 principals.
+  same :class:`Shard` type, through the same
+  :meth:`repro.serve.cluster.Frontend.dispatch` loop, at 10^5–10^6
+  principals.
 
 The load harness that drives this layer lives in :mod:`repro.load`
 (``python -m repro load``).

@@ -39,6 +39,15 @@ the original.  The ``failovers`` counter and the emitted
 :class:`repro.obs.events.ShardUnavailable` events keep that trade-off
 visible to the defender.
 
+Dispatch: both modes of the load harness are a :class:`Frontend`, and
+:meth:`Frontend.dispatch` is their one loop: it owns the try order and
+every counter (``requests``, ``failovers``, ``unavailable``, each
+shard's ``served`` and ``failover_serves``).  A mode supplies only a
+per-try ``serve(index, position)`` step, run synchronously inside the
+current scheduler event: :class:`KdcCluster`'s is the internal hop to
+a shard's real handler, the scale model's (:mod:`repro.serve.scale`)
+charges calibrated costs.
+
 Tracing: when a :class:`repro.obs.trace.Tracer` is attached to the
 network's bus, every request the frontend dispatches becomes one causal
 span chain — ``frontend/<service>`` → ``shard<i>/<service>`` →
@@ -50,7 +59,7 @@ tracer attached the only cost is one attribute read per request.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, Generic, List, Optional, Tuple, TypeVar
 
 from repro.crypto.des import BLOCK_OPS, get_schedule
 from repro.crypto.keys import string_to_key
@@ -66,14 +75,14 @@ from repro.kerberos.realm import RealmDirectory
 from repro.kerberos.validation import LruReplayCache
 from repro.obs.bus import EventBus
 from repro.obs.events import ShardUnavailable
-from repro.serve.pool import WorkerPool
+from repro.serve.pool import DEFAULT_US_PER_BLOCK_OP, WorkerPool
 from repro.serve.sharding import attempt_order, shard_of
 from repro.sim.clock import SimClock
 from repro.sim.host import Host
 from repro.sim.network import Endpoint, Network, NetworkError, WireMessage
 
 __all__ = [
-    "ClusterDatabase", "Shard", "ShardServer", "KdcCluster",
+    "ClusterDatabase", "Shard", "ShardServer", "Frontend", "KdcCluster",
     "TracedReplayCache",
 ]
 
@@ -258,7 +267,49 @@ class ShardServer(Shard):
         self.kdc = kdc
 
 
-class KdcCluster:
+ShardT = TypeVar("ShardT", bound=Shard)
+Served = TypeVar("Served")
+
+
+class Frontend(Generic[ShardT]):
+    """One realm's shards, the counters the load harness reads, and
+    :meth:`dispatch`, the only code that moves them."""
+
+    def __init__(self, realm: str, shards: List[ShardT]) -> None:
+        self.realm = realm
+        self.shards = shards
+        self.requests: Dict[str, int] = {AS_SERVICE: 0, TGS_SERVICE: 0}
+        self.failovers = 0
+        self.unavailable = 0
+
+    def dispatch(
+        self, service: str, primary: int,
+        serve: Callable[[int, int], Optional[Served]],
+    ) -> Optional[Served]:
+        """Try shards in :func:`attempt_order` (TGS fails over, AS is
+        pinned to its key's home) until ``serve(index, position)`` does
+        not refuse by returning ``None``; return its result, or
+        ``None`` when every shard refused."""
+        self.requests[service] += 1
+        order = attempt_order(primary, len(self.shards),
+                              failover=service == TGS_SERVICE)
+        for position, index in enumerate(order):
+            served = serve(index, position)
+            if served is None:
+                continue
+            shard = self.shards[index]
+            shard.served[service] += 1
+            if position > 0:
+                # Served, but by a replica: replay-cache affinity was
+                # broken for this request (see module docstring).
+                self.failovers += 1
+                shard.failover_serves += 1
+            return served
+        self.unavailable += 1
+        return None
+
+
+class KdcCluster(Frontend[ShardServer]):
     """Frontend + N shard KDCs for one realm.
 
     Clients are oblivious: the realm directory points at the frontend
@@ -284,10 +335,10 @@ class KdcCluster:
     ) -> None:
         if len(shard_addresses) < 1:
             raise ValueError("a cluster needs at least one shard address")
+        super().__init__(realm, [])
         self.network = network
         self._clock = clock
         self.config = config
-        self.realm = realm
         self.directory = directory
         self.database = ClusterDatabase(
             realm, rng.fork(f"db:{realm}"), len(shard_addresses)
@@ -300,7 +351,6 @@ class KdcCluster:
             f"kdc-{realm.lower()}", network, clock,
             addresses=[frontend_address], multi_user=True,
         )
-        self.shards: List[ShardServer] = []
         for index, address in enumerate(shard_addresses):
             host = Host(
                 f"kdc-{realm.lower()}-s{index}", network, clock,
@@ -327,10 +377,6 @@ class KdcCluster:
                          lambda m: self._handle(TGS_SERVICE, m))
         directory.register(realm, frontend_address)
 
-        # -- accounting ------------------------------------------------
-        self.requests: Dict[str, int] = {AS_SERVICE: 0, TGS_SERVICE: 0}
-        self.failovers = 0
-        self.unavailable = 0
         # Measured DES cost per service, for the scale model's calibration.
         self.block_ops_by_service: Dict[str, int] = {
             AS_SERVICE: 0, TGS_SERVICE: 0,
@@ -357,13 +403,10 @@ class KdcCluster:
     # -- dispatch -------------------------------------------------------
 
     def _handle(self, service: str, message: WireMessage) -> bytes:
-        self.requests[service] += 1
         # Under the event scheduler (clock.timeline attached) the clock
         # reads true overlapped virtual time: each request is its own
         # event chain, so now() *is* the arrival and worker pools see
-        # queueing whenever events genuinely overlap.  (The old
-        # synchronous fabric serialized everything and needed a de-lag
-        # retrofit, `note_open_loop_arrival`, now deleted.)
+        # queueing whenever events genuinely overlap.
         arrival = self._clock.now()
         primary = self.route(service, message.payload)
         tracer = self.network.bus.tracer
@@ -372,11 +415,9 @@ class KdcCluster:
             fe_span = tracer.begin(
                 f"frontend/{service}", seq=message.seq, primary_shard=primary,
             )
-        # AS requests have exactly one shard that can serve them (the
-        # user's key is not replicated); TGS requests may fail over.
-        order = attempt_order(primary, len(self.shards),
-                              failover=service == TGS_SERVICE)
-        for position, index in enumerate(order):
+
+        def serve(index: int, position: int) -> Optional[bytes]:
+            """The internal hop to one shard's real handler."""
             shard = self.shards[index]
             ops_before = BLOCK_OPS.count
             shard_span = worker_span = None
@@ -398,7 +439,7 @@ class KdcCluster:
                     tracer.end(worker_span, error="shard-down")
                     tracer.end(shard_span, error=str(exc))
                 self._note_down(service, shard, str(exc))
-                continue
+                return None
             block_ops = BLOCK_OPS.count - ops_before
             self.block_ops_by_service[service] += block_ops
             start, finish = shard.pool.schedule(arrival, block_ops)
@@ -410,15 +451,8 @@ class KdcCluster:
             # pool only keeps its books: the clock measures wire time.
             if self._clock.timeline is not None:
                 self._clock.advance(finish - arrival)
-            shard.served[service] += 1
-            if position > 0:
-                # Served, but by a replica: replay-cache affinity was
-                # broken for this request (see module docstring).
-                self.failovers += 1
-                shard.failover_serves += 1
             if tracer is not None:
-                pool = shard.pool
-                crypto_us = int(block_ops * pool.us_per_block_op)
+                crypto_us = int(block_ops * DEFAULT_US_PER_BLOCK_OP)
                 tracer.end(
                     worker_span,
                     queue_wait_us=start - arrival,
@@ -428,10 +462,13 @@ class KdcCluster:
                     block_ops=block_ops,
                 )
                 tracer.end(shard_span)
-                tracer.end(fe_span)
             return reply
 
-        self.unavailable += 1
+        reply = self.dispatch(service, primary, serve)
+        if reply is not None:
+            if tracer is not None:
+                tracer.end(fe_span)
+            return reply
         if tracer is not None:
             tracer.end(fe_span, error="unavailable")
         return frame_error(

@@ -14,35 +14,37 @@ table-driven fast path and the config's cipher choices); the scale
 model (:mod:`repro.serve.scale`) reports the calibrated per-service
 count instead.  The pool answers the queueing question: given when
 this request arrived and when a worker next comes free, when would it
-actually have started and finished?  Under the scheduler the cluster
-stalls the serving event until that finish (below), so queue wait and
+actually have started and finished?  Under the scheduler the serving
+event runs on until that finish, in both modes, so queue wait and
 service time land in the load harness's latency percentiles — this is
 what makes p99 diverge from p50 as offered load approaches pool
-capacity.  Without a scheduler the pool only keeps its books.
+capacity, and a congested shard delays its replies and every later
+phase of the unit.  Without a scheduler the pool only keeps its books.
 
 Arrival times: the pool's free-times and the arrivals it is offered
 live on the simulation's virtual timeline.  Under the discrete-event
 scheduler (:mod:`repro.sim.sched`) that timeline carries genuinely
-overlapping activity — each request is its own event chain, arriving
-when its heap event fires — so offered load above pool capacity shows
-up directly as growing queue wait.  (The old synchronous fabric
-serialized every request and dragged the clock past each arrival,
-which forced a de-lag retrofit, ``note_open_loop_arrival``, since
-deleted: the scheduler made intended and actual arrival the same
-thing.)  In scheduler mode the cluster also *stalls the serving event*
-by the pool's queue-wait + service time, so a congested shard delays
-its replies — downstream phases of a unit start later, exactly as a
-real slow KDC would make them.
+overlapping activity — each request is its own event chain — so
+offered load above pool capacity shows up directly as growing queue
+wait.  A request is served synchronously inside one scheduler event,
+so the pool can admit it before it arrives: the scale model admits
+each request when its event starts, one wire transit ahead of its
+arrival.  :meth:`WorkerPool.queue_depth` therefore counts only the jobs
+that have arrived (``arrival <= now < finish``).
+
+Costs are module constants, the same for every pool and picked by
+hand, not measured: a job costs a dispatch overhead (below) plus
+:data:`DEFAULT_US_PER_BLOCK_OP` per DES block operation.
 
 Batching: KDC work arrives in bursts (a login is an AS and a TGS
 request back-to-back; K clients hammering the cluster overlap heavily).
 Dispatch overhead — context switch, request parse, database lookup — is
-paid in full by the first request of a burst, but requests that start
-within ``batch_window_us`` of the previous dispatch ride the warm path
-(schedules already derived via ``des.get_schedule``'s cache, code and
-tables hot) and are charged the smaller ``batch_overhead_us``.  The
-pool counts how often that happens so benchmarks can report the
-amortisation.
+paid in full (:data:`DEFAULT_OVERHEAD_US`) by the first request of a
+burst, but requests that start within :data:`DEFAULT_BATCH_WINDOW_US`
+of the previous dispatch ride the warm path (schedules already derived
+via ``des.get_schedule``'s cache, code and tables hot) and are charged
+the smaller :data:`DEFAULT_BATCH_OVERHEAD_US`.  The pool counts how
+often that happens so benchmarks can report the amortisation.
 
 Telemetry: every ``schedule`` records its queue wait and service time
 into mergeable :class:`repro.obs.timeseries.LogHistogram`\\ s (per-shard
@@ -74,27 +76,16 @@ DEFAULT_US_PER_BLOCK_OP = 2.0
 class WorkerPool:
     """N virtual workers for one shard, tracked as a heap of free-times."""
 
-    def __init__(
-        self,
-        workers: int = 2,
-        overhead_us: int = DEFAULT_OVERHEAD_US,
-        batch_overhead_us: int = DEFAULT_BATCH_OVERHEAD_US,
-        batch_window_us: int = DEFAULT_BATCH_WINDOW_US,
-        us_per_block_op: float = DEFAULT_US_PER_BLOCK_OP,
-    ) -> None:
+    def __init__(self, workers: int = 2) -> None:
         if workers < 1:
             raise ValueError("a pool needs at least one worker")
         self.workers = workers
-        self.overhead_us = overhead_us
-        self.batch_overhead_us = batch_overhead_us
-        self.batch_window_us = batch_window_us
-        self.us_per_block_op = us_per_block_op
         # Heap of times at which each worker next comes free.
         self._free: List[int] = [0] * workers
         heapq.heapify(self._free)
         self._last_start = -(10**18)  # no batch in progress
-        # Finish times of admitted jobs, for instantaneous queue depth.
-        self._inflight: List[int] = []
+        # (finish, arrival) of admitted jobs, for instantaneous queue depth.
+        self._inflight: List[Tuple[int, int]] = []
         # -- accounting ------------------------------------------------
         self.jobs = 0
         self.batched_jobs = 0
@@ -115,12 +106,13 @@ class WorkerPool:
         """
         soonest_free = heapq.heappop(self._free)
         start = max(arrival, soonest_free)
-        in_batch = start - self._last_start <= self.batch_window_us
-        overhead = self.batch_overhead_us if in_batch else self.overhead_us
-        service = overhead + int(block_ops * self.us_per_block_op)
+        in_batch = start - self._last_start <= DEFAULT_BATCH_WINDOW_US
+        overhead = (DEFAULT_BATCH_OVERHEAD_US if in_batch
+                    else DEFAULT_OVERHEAD_US)
+        service = overhead + int(block_ops * DEFAULT_US_PER_BLOCK_OP)
         finish = start + service
         heapq.heappush(self._free, finish)
-        heapq.heappush(self._inflight, finish)
+        heapq.heappush(self._inflight, (finish, arrival))
         self._last_start = start
 
         if not self.jobs:
@@ -142,11 +134,14 @@ class WorkerPool:
     # -- instantaneous gauges (tick-sampled by the monitor) -------------
 
     def queue_depth(self, now: int) -> int:
-        """Admitted jobs not yet finished at *now* (running + queued)."""
+        """Jobs arrived but not yet finished at *now* (running +
+        queued): ``arrival <= now < finish``.  The scale model admits a
+        request one wire transit before it arrives, and a job that has
+        not arrived is not in the queue yet."""
         inflight = self._inflight
-        while inflight and inflight[0] <= now:
+        while inflight and inflight[0][0] <= now:
             heapq.heappop(inflight)
-        return len(inflight)
+        return sum(1 for _finish, arrival in inflight if arrival <= now)
 
     def utilization_pct(self) -> int:
         """Busy time over the pool's active window, 0–100 (whole run)."""

@@ -11,8 +11,10 @@ Shared with engine mode, not copied: each shard is a
 :class:`repro.serve.cluster.Shard` — the engine's
 :class:`repro.serve.pool.WorkerPool` plus a bounded
 :class:`repro.kerberos.validation.LruReplayCache` (true LRU, true
-evictions) — and requests try shards in the engine frontend's
-:func:`repro.serve.sharding.attempt_order`, routed by CRC-32
+evictions) — and the model is a :class:`repro.serve.cluster.Frontend`,
+so every request goes through the engine's own
+:meth:`~repro.serve.cluster.Frontend.dispatch`: the same try order,
+failover and counters, routed by CRC-32
 :func:`repro.serve.sharding.shard_of` (AS by principal, TGS by
 authenticator fingerprint — replay affinity and all).  The unit
 driver (latency histograms, fault timers, replay probe), the client
@@ -25,11 +27,12 @@ Modelled: per-request CPU and wire cost.  Both are **calibrated, not
 invented**: at startup a handful of units run through the real engine on
 a small testbed (:func:`calibrate`), and the model takes its per-service
 DES block-op counts (``KdcCluster.block_ops_by_service``) and per-phase
-wire times from that measurement.  A modelled request crosses the wire,
-is admitted to its shard's pool with the calibrated block-op count
-(``WorkerPool.schedule``), is checked against the replay cache on
-admission, and waits once for the pool's finish time plus the return
-transit.
+wire times from that measurement.  A modelled try is served
+synchronously inside one scheduler event, as an engine handler is: one
+wire transit, admission to the shard's pool with the calibrated
+block-op count (``WorkerPool.schedule``), the replay check, then the
+pool's finish plus the return transit.  Those clock advances land on
+the event timeline, so a unit with no retries costs four events.
 
 Crash semantics match the engine's: a downed shard refuses new
 requests at dispatch (TGS fails over, AS retries and may end
@@ -51,7 +54,7 @@ a seed, across processes.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Iterator, List, Set, Tuple
+from typing import Any, Dict, Generator, Iterator, List, Optional, Set, Tuple
 
 from repro.crypto.keys import string_to_key
 from repro.crypto.rng import DeterministicRandom
@@ -62,11 +65,11 @@ from repro.load import (
     RETRY_POLICY, Finish, LoadRun, cluster_sampler, fault_window, run_units,
 )
 from repro.obs.timeseries import LogHistogram, TickSampler
-from repro.serve.cluster import Shard
+from repro.serve.cluster import Frontend, Shard
 from repro.serve.pool import (
     DEFAULT_BATCH_OVERHEAD_US, DEFAULT_US_PER_BLOCK_OP, WorkerPool,
 )
-from repro.serve.sharding import attempt_order, shard_of
+from repro.serve.sharding import shard_of
 from repro.sim.clock import MINUTE, SECOND, SimClock
 from repro.sim.sched import Scheduler, wait
 from repro.sim.workload import (
@@ -189,47 +192,35 @@ def calibrate(seed: int = 0) -> Dict[str, int]:
     return result
 
 
-class _Model:
-    """One modelled cluster: :class:`Shard`\\ s and a frontend's counters.
-
-    Reads like :class:`repro.serve.cluster.KdcCluster` to the load
-    harness's gauges and report builder (``realm``, ``shards``,
-    ``requests``, ``failovers``, ``unavailable``), plus the client
-    retries the engine counts on its event bus.
-    """
-
-    realm = DEFAULT_REALM
+class _Model(Frontend[Shard]):
+    """One modelled cluster, plus the client retries the engine counts
+    on its event bus."""
 
     def __init__(self, shards: int, workers_per_shard: int,
                  replay_capacity: int, cal: Dict[str, int]) -> None:
-        self.clock = SimClock()
-        self.sched = Scheduler(self.clock)
-        self.cal = cal
-        self.shards = [
+        super().__init__(DEFAULT_REALM, [
             Shard(i, f"model-s{i}", LruReplayCache(replay_capacity),
                   WorkerPool(workers_per_shard))
             for i in range(shards)
-        ]
+        ])
+        self.clock = SimClock()
+        self.sched = Scheduler(self.clock)
+        self.cal = cal
         self.down: Set[int] = set()
-        self.requests: Dict[str, int] = {AS_SERVICE: 0, TGS_SERVICE: 0}
-        self.failovers = 0
-        self.unavailable = 0
         self.retries = 0
 
-    def _request(self, service: str, primary: int, block_ops: int,
-                 client: str, fingerprint: bytes, rng: DeterministicRandom,
-                 auth_timestamp: int = 0) -> Iterator[Any]:
-        """Route one request (use via ``yield from``; returns the outcome).
+    def _request(
+        self, service: str, primary: int, block_ops: int, client: str,
+        fingerprint: bytes, rng: DeterministicRandom,
+        auth_timestamp: int = 0,
+    ) -> Generator[Any, None, Tuple[str, Optional[int]]]:
+        """One client request (use via ``yield from``; returns the outcome).
 
-        Follows the engine frontend: shards are tried in
-        :func:`attempt_order` — TGS fails over around the ring, AS is
-        pinned to the principal's home shard (its key lives there) — and
-        a downed shard refuses the request at dispatch.  Like the
-        engine frontend, it counts every try in ``requests`` and every
-        refused one in ``unavailable``.  When every shard in the order
-        refuses, the client backs off by the engine's
-        :data:`repro.load.RETRY_POLICY` and, out of retries, degrades
-        to ``unavailable``.
+        Each try is one :meth:`Frontend.dispatch` (see the module
+        docstring).  When every shard refuses, the client backs off by
+        the engine's :data:`repro.load.RETRY_POLICY` as a scheduler
+        wait, so it sees a restore during the backoff, and, out of
+        retries, degrades to ``unavailable``.
 
         Returns ``(outcome, served_by)`` where ``served_by`` is the
         index of the shard that actually served the request (``None``
@@ -237,38 +228,35 @@ class _Model:
         shard, since a failover serve stores the authenticator in the
         failover's cache, not the fingerprint-primary's.
         """
+        clock = self.clock
         wire = self.cal["as_wire_us" if service == AS_SERVICE
                         else "tgs_wire_us"]
         transit = max(1, wire // 2)
-        order = attempt_order(primary, len(self.shards),
-                              failover=service == TGS_SERVICE)
+
+        def serve(index: int, _position: int) -> Optional[Tuple[str, int]]:
+            if index in self.down:
+                return None
+            shard = self.shards[index]
+            now = clock.advance(transit)
+            _start, finish = shard.pool.schedule(now, block_ops)
+            # The authenticator timestamp is minted client-side,
+            # *before* the wire — every retransmission carries the
+            # same one, which is what makes replay detection (and
+            # the probe's exact-key re-offer) work.
+            fresh = True
+            if service == TGS_SERVICE:
+                fresh = shard.replay_cache.check_and_store(
+                    client, auth_timestamp, fingerprint, now,
+                    REPLAY_HORIZON_US,
+                )
+            clock.advance(finish - now + transit)
+            return ("ok" if fresh else "replay"), index
+
         attempt = 0
         while True:
-            self.requests[service] += 1
-            for position, index in enumerate(order):
-                if index in self.down:
-                    continue
-                shard = self.shards[index]
-                yield wait(transit)
-                now = self.clock.now()
-                _start, finish = shard.pool.schedule(now, block_ops)
-                # The authenticator timestamp is minted client-side,
-                # *before* the wire — every retransmission carries the
-                # same one, which is what makes replay detection (and
-                # the probe's exact-key re-offer) work.
-                fresh = True
-                if service == TGS_SERVICE:
-                    fresh = shard.replay_cache.check_and_store(
-                        client, auth_timestamp, fingerprint, now,
-                        REPLAY_HORIZON_US,
-                    )
-                shard.served[service] += 1
-                if position > 0:
-                    self.failovers += 1
-                    shard.failover_serves += 1
-                yield wait(finish - now + transit)
-                return ("ok" if fresh else "replay"), index
-            self.unavailable += 1
+            served = self.dispatch(service, primary, serve)
+            if served is not None:
+                return served
             if attempt >= RETRY_POLICY.max_retries:
                 return "unavailable", None
             backoff = RETRY_POLICY.backoff_us(attempt, rng)
@@ -362,6 +350,7 @@ def _run_model_once(
             finish(marks, outcome)
             return
         marks.append(clock.now())
+        assert served_by is not None  # an "ok" request was served
         recorded_tgs.append((client, auth_time, fingerprint, served_by))
         yield wait(0)
 

@@ -256,7 +256,7 @@ class Testbed:
         """Start recording defender-side telemetry for this deployment.
 
         Returns the :class:`repro.obs.audit.AuditTrail` (events, metrics,
-        spans, wire-log correlation).  Until this is called the event
+        wire-log correlation).  Until this is called the event
         bus has no sinks and instrumentation is a no-op.
         """
         return AuditTrail(self.bus)

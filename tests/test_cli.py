@@ -39,6 +39,7 @@ def test_audit_prints_event_log_and_verdict(capsys):
     assert "WireCrossing" in out
     assert "ReplayCacheHit" in out  # the hardened profile notices
     assert "detectability: ReplayCacheHit" in out
+    assert "traces: 5, 1 with anomalies" in out  # the replay's trace
 
 
 def test_audit_reports_silent_wins(capsys):

@@ -9,8 +9,11 @@ import json
 
 import pytest
 
-from repro.load import LoadInputError, render_report, run_load
-from repro.serve.scale import LazyPrincipalKeys, calibrate
+from repro.crypto.rng import DeterministicRandom
+from repro.kerberos.kdc import AS_SERVICE
+from repro.load import RETRY_POLICY, LoadInputError, render_report, run_load
+from repro.serve.cluster import Frontend, KdcCluster
+from repro.serve.scale import LazyPrincipalKeys, _Model, calibrate
 
 PRINCIPALS = 30_000
 REQUESTS = 2_500
@@ -226,6 +229,64 @@ def test_refused_requests_add_up_in_both_modes(report):
             == served + cluster["unavailable"], mode
         assert degrade["client_retries"] == cluster["unavailable"] \
             - degrade["errors"].get("unavailable", 0), mode
+
+
+# -- one request path ----------------------------------------------------
+
+def test_every_request_goes_through_frontend_dispatch(monkeypatch):
+    """Both modes route and count each request in Frontend.dispatch:
+    per frontend, the calls it saw per service are its ``requests``."""
+    seen = {}  # id -> (frontend, calls per service); holds each alive
+    original = Frontend.dispatch
+
+    def spy(self, service, primary, serve):
+        _, calls = seen.setdefault(id(self), (self, {}))
+        calls[service] = calls.get(service, 0) + 1
+        return original(self, service, primary, serve)
+
+    monkeypatch.setattr(Frontend, "dispatch", spy)
+    engine = run_load(quick=True, shards=2, seed=0, out_path=None)
+    model = run_load(principals=2000, requests=200, seed=1, out_path=None)
+    assert {type(f) for f, _ in seen.values()} >= {KdcCluster, _Model}
+    for frontend, calls in seen.values():
+        assert calls == frontend.requests
+    for run in (engine, model):
+        requests = run["cluster"]["requests"]
+        assert all(requests.values())
+        assert requests in [f.requests for f, _ in seen.values()]
+
+
+def test_modelled_backoff_sees_a_restore():
+    """The client's backoff is a scheduler wait: a home shard restored
+    during it serves the retry."""
+    cal = {"as_wire_us": 1000, "tgs_wire_us": 1000, "ap_us": 1000,
+           "as_block_ops": 25, "tgs_block_ops": 49}
+    model = _Model(shards=2, workers_per_shard=1, replay_capacity=8,
+                   cal=cal)
+    model.down.add(0)
+    outcomes = []
+
+    def client():
+        outcomes.append((yield from model._request(
+            AS_SERVICE, 0, cal["as_block_ops"], "user0", b"",
+            DeterministicRandom(0),
+        )))
+
+    first_backoff = RETRY_POLICY.backoff_us(0, DeterministicRandom(0))
+    model.sched.spawn(client())
+    model.sched.at(first_backoff // 2, lambda: model.down.discard(0))
+    model.sched.run()
+    assert outcomes == [("ok", 0)]
+    assert model.retries == 1
+    assert model.unavailable == 1
+    assert model.requests[AS_SERVICE] == 2
+
+
+def test_modelled_unit_costs_four_events():
+    requests = 150
+    run = run_load(principals=2000, requests=requests, seed=2,
+                   faults=False, out_path=None)
+    assert run["scheduler"]["events_processed"] == 4 * requests
 
 
 def test_render_report_shows_principals_and_curve(report):

@@ -13,8 +13,8 @@ import pytest
 from repro import ProtocolConfig, Testbed
 from repro.obs import (
     ANOMALY_KINDS, CollectorSink, EventBus, JsonlSink, LoginAttempt,
-    MetricsRegistry, MetricsSink, ReplayCacheHit, TicketIssued, WireCrossing,
-    build_spans, capture, correlate_with_wire_log, detectability_digest,
+    MetricsRegistry, MetricsSink, ReplayCacheHit, TicketIssued, Tracer,
+    WireCrossing, capture, correlate_with_wire_log, detectability_digest,
     event_from_dict, read_jsonl, render_events,
 )
 
@@ -263,15 +263,18 @@ def test_correlation_notices_divergence():
     assert len(correlation.defender_only) == 2
 
 
-def test_spans_group_defender_events_with_their_wire_message():
-    bed, trail, _mail, _session = _mail_session_bed(ProtocolConfig.v4())
-    spans = build_spans(trail.events)
-    by_seq = {span.seq: span for span in spans}
-    # The AS request span carries the TicketIssued event.
-    as_request = bed.adversary.recorded(
-        service="kerberos", direction="request")[0]
-    kinds = [e.kind for e in by_seq[as_request.seq].defender]
-    assert "TicketIssued" in kinds
+def test_exchange_events_carry_the_trace_of_their_client_call():
+    tracer = Tracer()
+    with capture(tracer=tracer) as cap:
+        _mail_session_bed(ProtocolConfig.v4())
+    # The AS exchange's TicketIssued fired inside the client's
+    # rpc/kerberos root span, so it carries that trace's id.
+    issued = [e for e in cap.events
+              if isinstance(e, TicketIssued) and e.exchange == "as"]
+    roots = [s for s in tracer.spans
+             if s.name == "rpc/kerberos" and s.parent_id == 0]
+    assert len(issued) == 1 and len(roots) == 1
+    assert issued[0].trace_id == roots[0].trace_id
 
 
 def test_digest_counts_only_anomalies():

@@ -93,17 +93,6 @@ def test_current_ids_track_the_innermost_span():
     assert tracer.current_ids() == (0, 0)
 
 
-def test_record_attaches_pretimed_span_to_current_trace():
-    clock = SimClock()
-    tracer = Tracer(clock)
-    with tracer.span("rpc/tgs") as root:
-        tracer.record("worker/tgs", begin=5, end=45, queue_wait_us=5)
-    worker = [s for s in tracer.spans if s.name == "worker/tgs"][0]
-    assert worker.parent_id == root.span_id
-    assert worker.duration == 40
-    assert worker.attrs["queue_wait_us"] == 5
-
-
 def test_validate_traces_flags_orphans_and_multiple_roots():
     spans = [
         Span(trace_id=1, span_id=1, parent_id=0, name="a", begin=0, end=1),

@@ -13,7 +13,10 @@ from repro.crypto.rng import DeterministicRandom
 from repro.kerberos.client import KerberosError, RetryPolicy
 from repro.kerberos.principal import Principal
 from repro.obs.bus import capture
-from repro.serve.pool import WorkerPool
+from repro.serve.pool import (
+    DEFAULT_BATCH_OVERHEAD_US, DEFAULT_BATCH_WINDOW_US, DEFAULT_OVERHEAD_US,
+    DEFAULT_US_PER_BLOCK_OP, WorkerPool,
+)
 from repro.sim.clock import MILLISECOND, SECOND, SimClock
 from repro.sim.network import NetworkError
 
@@ -133,46 +136,67 @@ def test_non_retryable_errors_are_not_retried():
 # -- WorkerPool ---------------------------------------------------------
 
 
+# Expected times come from the pool's cost constants, so these tests
+# keep checking behaviour when the constants are re-measured.
+COLD = DEFAULT_OVERHEAD_US
+WARM = DEFAULT_BATCH_OVERHEAD_US
+WINDOW = DEFAULT_BATCH_WINDOW_US
+
+
+def _service(block_ops, warm=False):
+    return (WARM if warm else COLD) + int(block_ops * DEFAULT_US_PER_BLOCK_OP)
+
+
 def test_idle_pool_starts_immediately():
-    pool = WorkerPool(workers=2, overhead_us=100, us_per_block_op=2.0)
+    pool = WorkerPool(workers=2)
     start, finish = pool.schedule(arrival=1000, block_ops=50)
     assert start == 1000
-    assert finish == 1000 + 100 + 100
+    assert finish == 1000 + _service(50)
     assert pool.queue_wait_us == 0
 
 
 def test_saturated_pool_queues():
-    pool = WorkerPool(workers=1, overhead_us=100, batch_window_us=0,
-                      us_per_block_op=1.0)
-    s1, f1 = pool.schedule(arrival=0, block_ops=100)   # runs 0..200
+    pool = WorkerPool(workers=1)
+    s1, f1 = pool.schedule(arrival=0, block_ops=100)
     s2, f2 = pool.schedule(arrival=0, block_ops=100)   # must wait
-    assert (s1, f1) == (0, 200)
-    assert s2 == 200 and f2 == 400
-    assert pool.queue_wait_us == 200
-    assert pool.max_queue_wait_us == 200
+    assert (s1, f1) == (0, _service(100))
+    assert s2 == f1
+    assert f2 == s2 + _service(100, warm=s2 - s1 <= WINDOW)
+    assert pool.queue_wait_us == f1
+    assert pool.max_queue_wait_us == f1
 
 
 def test_two_workers_run_two_jobs_in_parallel():
-    pool = WorkerPool(workers=2, overhead_us=100, batch_window_us=0,
-                      us_per_block_op=1.0)
-    _, f1 = pool.schedule(arrival=0, block_ops=100)
+    pool = WorkerPool(workers=2)
+    pool.schedule(arrival=0, block_ops=100)
     s2, _ = pool.schedule(arrival=0, block_ops=100)
     assert s2 == 0, "second worker picks up the second job at once"
     assert pool.queue_wait_us == 0
 
 
 def test_batch_window_amortises_overhead():
-    pool = WorkerPool(workers=2, overhead_us=120, batch_overhead_us=30,
-                      batch_window_us=500, us_per_block_op=0.0)
+    assert WARM < COLD
+    pool = WorkerPool(workers=2)
     _, f1 = pool.schedule(arrival=0, block_ops=0)
-    assert f1 == 120                       # cold dispatch
-    _, f2 = pool.schedule(arrival=100, block_ops=0)
-    assert f2 == 100 + 30                  # rode the warm batch
+    assert f1 == COLD                      # cold dispatch
+    _, f2 = pool.schedule(arrival=WINDOW // 2, block_ops=0)
+    assert f2 == WINDOW // 2 + WARM        # rode the warm batch
     assert pool.batched_jobs == 1
     # Past the window: cold again.
-    _, f3 = pool.schedule(arrival=5000, block_ops=0)
-    assert f3 == 5000 + 120
+    late = max(f1, f2) + WINDOW + 1
+    _, f3 = pool.schedule(arrival=late, block_ops=0)
+    assert f3 == late + COLD
     assert pool.stats()["jobs"] == 3
+
+
+def test_queue_depth_counts_only_arrived_jobs():
+    # The scale model admits a request one wire transit before it
+    # arrives; until then it is not in the queue.
+    pool = WorkerPool(workers=1)
+    _, finish = pool.schedule(arrival=100, block_ops=0)
+    assert pool.queue_depth(50) == 0
+    assert pool.queue_depth(100) == 1
+    assert pool.queue_depth(finish) == 0
 
 
 def test_pool_rejects_zero_workers():
