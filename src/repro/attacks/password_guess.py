@@ -117,12 +117,11 @@ def clear_guess_memo() -> None:
 
 
 def _head_plausible(config: ProtocolConfig, enc_part: bytes, key: bytes) -> bool:
-    """Decrypt just enough blocks to read the sealed length field."""
+    """Decrypt just the blocks that hold the sealed length field: one,
+    or two behind a confounder."""
     offset = 8 if config.use_confounder else 0
-    needed = offset + 4
-    head = enc_part[:((needed + 7) // 8 + 1) * 8]
-    if len(head) > len(enc_part):
-        head = enc_part
+    needed = offset + 4  # through the 4-byte length field
+    head = enc_part[:(needed + 7) // 8 * 8]
     if config.cipher_mode == "pcbc":
         plain = modes.pcbc_decrypt(key, head)
     else:

@@ -41,7 +41,7 @@ protocol-misuse rules in :mod:`repro.lint.rules` care about:
   scheduler-safety family in :mod:`repro.lint.simrules`: every dotted
   call chain (``_time.perf_counter`` looks nothing like
   ``perf_counter`` to the flat ``callee`` fact), every ``yield`` with
-  its command kind (``wait``/``recv``/``from``/other), every timer
+  its command kind (``wait``/``from``/other), every timer
   created or cancelled on a scheduler, and every place an *unordered*
   value (a ``set``/``frozenset``) is iterated or handed to the
   scheduler.  The unordered pass is a second intraprocedural taint
@@ -224,7 +224,7 @@ class DottedCall:
 class YieldSite:
     """One ``yield`` inside a function, classified by command kind.
 
-    ``command`` is ``"wait"`` or ``"recv"`` for scheduler commands,
+    ``command`` is ``"wait"`` for the scheduler's one command,
     ``"from"`` for delegation (``yield from``), and ``"other"`` for
     anything else — including bare ``yield``.
     """
@@ -269,7 +269,7 @@ class UnorderedFlow:
 
     ``sink`` is ``"iteration"`` for a ``for`` loop or order-sensitive
     comprehension, ``"scheduling"`` for an argument to a scheduler
-    primitive (``spawn``/``at``/``after``/``put``).
+    primitive (``spawn``/``at``/``after``).
     """
 
     file: str
@@ -473,14 +473,13 @@ class CodeModel:
     def process_functions(self) -> FrozenSet[Tuple[str, str]]:
         """``(file, function)`` pairs that yield scheduler commands.
 
-        A function with at least one ``yield wait(...)`` or ``yield
-        recv(...)`` is a scheduler process: the scheduler-safety rules
-        hold it to process discipline (no direct clock advances, no
-        stray yields, no orphaned timers).
+        A function with at least one ``yield wait(...)`` is a scheduler
+        process: the scheduler-safety rules hold it to process
+        discipline (no direct clock advances, no stray yields, no
+        orphaned timers).
         """
         return frozenset(
-            (y.file, y.function) for y in self.yields
-            if y.command in ("wait", "recv")
+            (y.file, y.function) for y in self.yields if y.command == "wait"
         )
 
     def secret_returners(self) -> FrozenSet[str]:
@@ -542,9 +541,7 @@ _ORDER_INSENSITIVE: FrozenSet[str] = frozenset({
 
 #: Scheduler primitives: handing an unordered value to one of these
 #: turns iteration order into event order.
-_SCHEDULING_CALLEES: FrozenSet[str] = frozenset({
-    "spawn", "at", "after", "put",
-})
+_SCHEDULING_CALLEES: FrozenSet[str] = frozenset({"spawn", "at", "after"})
 
 
 class _Analyzer(ast.NodeVisitor):
@@ -1212,7 +1209,7 @@ class _Analyzer(ast.NodeVisitor):
                 callee = node.value.func.id
             elif isinstance(node.value.func, ast.Attribute):
                 callee = node.value.func.attr
-            if callee in ("wait", "recv"):
+            if callee == "wait":
                 command = callee
         self.model.yields.append(YieldSite(
             file=self.file, line=node.lineno,

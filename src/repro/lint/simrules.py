@@ -44,7 +44,7 @@ Six rules, each backed by a fact family the engine records
     reducers (``any``/``len``/``sum``...) are exempt sinks.
 ``SCHED-ADVANCE-IN-PROCESS``
     ``clock.advance*()`` called inside a scheduler process (a
-    generator that yields ``wait``/``recv`` commands).  Processes must
+    generator that yields ``wait`` commands).  Processes must
     ``yield wait(...)`` and let the event loop advance time; a direct
     advance desynchronises the clock from the event heap (the
     zero-queue-wait de-lag retrofit bug).
@@ -54,8 +54,8 @@ Six rules, each backed by a fact family the engine records
     anywhere in the file: the orphaned callback fires into state the
     process has already moved past.
 ``SCHED-YIELD-NON-COMMAND``
-    A scheduler process yields something that is not a
-    ``wait()``/``recv()`` command (``yield from`` delegation is fine).
+    A scheduler process yields something that is not a ``wait()``
+    command (``yield from`` delegation is fine).
     The scheduler raises ``TypeError`` at runtime; this catches it
     before the path is ever exercised.
 
@@ -255,8 +255,8 @@ def _yield_evidence(model: CodeModel) -> List[Evidence]:
             continue
         out.append((site.file, site.line, (
             f"process {site.function} yields a non-command value; "
-            "scheduler processes may only yield wait()/recv() "
-            "commands (or delegate via `yield from`)"
+            "scheduler processes may only yield wait() commands "
+            "(or delegate via `yield from`)"
         )))
     return sorted(out)
 
@@ -338,7 +338,7 @@ SIM_RULES: Tuple[SimRule, ...] = (
         severity=Severity.ERROR,
         title="Scheduler process yields a non-command value",
         description=(
-            "The scheduler only understands wait()/recv() commands; "
+            "The scheduler only understands wait() commands; "
             "yielding anything else raises TypeError at runtime, "
             "typically down a rarely-exercised branch.  `yield from` "
             "delegation to another process is allowed."

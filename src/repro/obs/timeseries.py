@@ -72,12 +72,6 @@ class LogHistogram:
 
     # -- recording -------------------------------------------------------
 
-    def _index(self, value: int) -> int:
-        if value < (1 << self.sub_bits):
-            return value
-        e = value.bit_length() - 1 - self.sub_bits
-        return (e << self.sub_bits) + (value >> e)
-
     def _lower_bound(self, index: int) -> int:
         if index < (1 << self.sub_bits):
             return index
@@ -90,7 +84,14 @@ class LogHistogram:
             raise ValueError("LogHistogram records non-negative values")
         if n < 1:
             return
-        index = self._index(value)
+        # the bucket index of the layout above, computed inline: every
+        # load-harness unit records here several times
+        sub_bits = self.sub_bits
+        if value < (1 << sub_bits):
+            index = value
+        else:
+            e = value.bit_length() - 1 - sub_bits
+            index = (e << sub_bits) + (value >> e)
         self._buckets[index] = self._buckets.get(index, 0) + n
         self.count += n
         self.total += value * n

@@ -10,12 +10,11 @@ from repro.sim.clock import MINUTE, SECOND, EventTimeline, HostClock, SimClock
 from repro.sim.host import Host, HostError, StorageKind
 from repro.sim.network import Adversary, Endpoint, Network, NetworkError, WireMessage
 from repro.sim.process import Process
-from repro.sim.sched import Channel, Scheduler, Timer
+from repro.sim.sched import Scheduler, Timer
 from repro.sim.workload import DiurnalCurve, ZipfianGenerator
 
 __all__ = [
     "Adversary",
-    "Channel",
     "DiurnalCurve",
     "Endpoint",
     "EventTimeline",

@@ -19,8 +19,8 @@ Everything time-related in the reproduction is explicit simulation state:
   accumulate into the *current event's* elapsed time instead of moving
   the global clock, so concurrent activities (a wire transit here, a
   retry backoff there) overlap in virtual time instead of serializing.
-  The scheduler is the only component that moves the base clock, via
-  ``advance_to()`` as it dispatches events in heap order.
+  The scheduler is the only component that moves the base clock, as
+  it dispatches events in heap order.
 
 Nothing reads the real wall clock, so every scenario is deterministic.
 """
@@ -49,7 +49,7 @@ class EventTimeline:
     pushes "now" past every other unit's arrival and queues never form
     (the zero-queue-wait anomaly PR 6 papered over with
     ``note_open_loop_arrival``).  With a timeline attached, those
-    advances accumulate here; the scheduler resets ``elapsed`` before
+    advances accumulate here; the scheduler zeroes ``elapsed`` before
     dispatching each event and reads it afterwards to know how long the
     event's activity took in virtual time.
     """

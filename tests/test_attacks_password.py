@@ -1,12 +1,19 @@
 """Password-guessing attacks across all three channels."""
 
 
+import pytest
+
 from repro import Testbed, ProtocolConfig
 from repro.analysis import PasswordPopulation, attack_dictionary
 from repro.attacks import (
     client_as_service_harvest, crack_sealed_tickets, dh_active_mitm,
     dh_passive_break, harvest_tickets, offline_dictionary_attack,
 )
+from repro.attacks.password_guess import (
+    _extract_as_material, _head_plausible,
+)
+from repro.crypto.des import BLOCK_OPS
+from repro.crypto.keys import string_to_key
 
 DICT = ["123456", "password", "letmein", "qwerty", "zebra1"]
 
@@ -25,6 +32,23 @@ def test_harvest_and_crack_weak_users_only():
     stats = offline_dictionary_attack(bed.config, harvested, DICT)
     assert stats.cracked == {"alice": "letmein"}  # bob survives
     assert stats.material_count == 2
+
+
+@pytest.mark.parametrize("config, blocks", [
+    (ProtocolConfig.v4(), 1),          # length field in block 1
+    (ProtocolConfig.v5_draft3(), 2),   # behind an 8-byte confounder
+])
+def test_wrong_key_head_check_decrypts_only_the_length_blocks(config, blocks):
+    """A table-path guess decrypts the blocks holding the sealed length
+    field and no more, as the bitsliced path does: the cost the attack
+    matrix reports per guess."""
+    bed = population_bed(config)
+    harvested, _result = harvest_tickets(bed, ["alice"])
+    [(_client, enc_part, _r)] = _extract_as_material(config, harvested)
+    wrong_key = string_to_key("not-alice's-password")
+    before = BLOCK_OPS.count
+    _head_plausible(config, enc_part, wrong_key)
+    assert BLOCK_OPS.count - before == blocks
 
 
 def test_harvest_includes_unknown_users_gracefully():

@@ -129,9 +129,13 @@ def test_yields_classified_by_command():
         "    yield recv(ch)\n"
         "    yield from other\n"
         "    yield 42\n"
+        "def parked(ch):\n"
+        "    yield recv(ch)\n"
     )
+    # wait() is the scheduler's only command: a recv() yield is "other",
+    # and a generator that only yields one is not a process
     assert [y.command for y in model.yields] == \
-        ["wait", "recv", "from", "other"]
+        ["wait", "other", "from", "other", "other"]
     assert model.process_functions() == {("snippet.py", "proc")}
 
 

@@ -80,22 +80,22 @@ CASES = {
         "    yield wait(250)\n",
     ),
     "SCHED-TIMER-NO-CANCEL": (
-        "def request(sched, ch):\n"
+        "def request(sched):\n"
         "    failsafe = sched.after(100, giveup)\n"
-        "    yield recv(ch)\n",
+        "    yield wait(50)\n",
 
-        "def request(sched, ch):\n"
+        "def request(sched):\n"
         "    failsafe = sched.after(100, giveup)\n"
-        "    yield recv(ch)\n"
+        "    yield wait(50)\n"
         "    failsafe.cancel()\n",
     ),
     "SCHED-YIELD-NON-COMMAND": (
-        "def proc(ch):\n"
-        "    yield recv(ch)\n"
+        "def proc():\n"
+        "    yield wait(10)\n"
         "    yield 42\n",
 
-        "def proc(ch, other):\n"
-        "    yield recv(ch)\n"
+        "def proc(other):\n"
+        "    yield wait(10)\n"
         "    yield from other\n",
     ),
 }
@@ -160,7 +160,7 @@ def test_module_level_random_draw_fires():
 def test_unordered_reaching_scheduler_primitive():
     src = ("def arm(sched, addrs):\n"
            "    down = set(addrs)\n"
-           "    sched.put(down)\n")
+           "    sched.spawn(down)\n")
     hits = rule_hits("DET-UNORDERED-ITER", src)
     assert hits and "scheduler primitive" in hits[0][2]
 
@@ -180,9 +180,9 @@ def test_advance_outside_a_process_is_fine():
 
 
 def test_discarded_timer_handle_fires():
-    src = ("def request(sched, ch):\n"
+    src = ("def request(sched):\n"
            "    sched.after(100, giveup)\n"
-           "    yield recv(ch)\n")
+           "    yield wait(50)\n")
     hits = rule_hits("SCHED-TIMER-NO-CANCEL", src)
     assert hits and "discards" in hits[0][2]
 
@@ -194,11 +194,21 @@ def test_timer_outside_a_process_is_fine():
 
 
 def test_sched_cancel_call_counts_as_cancellation():
-    src = ("def request(sched, ch):\n"
+    src = ("def request(sched):\n"
            "    failsafe = sched.after(100, giveup)\n"
-           "    yield recv(ch)\n"
+           "    yield wait(50)\n"
            "    sched.cancel(failsafe)\n")
     assert not rule_hits("SCHED-TIMER-NO-CANCEL", src)
+
+
+def test_recv_is_not_a_scheduler_command():
+    """The scheduler's only command is wait(): a process that yields a
+    recv() would raise TypeError at runtime, so the rule fires."""
+    src = ("def proc(ch):\n"
+           "    yield wait(10)\n"
+           "    yield recv(ch)\n")
+    hits = rule_hits("SCHED-YIELD-NON-COMMAND", src)
+    assert [line for _file, line, _msg in hits] == [3]
 
 
 def test_plain_generator_is_not_a_process():

@@ -1,4 +1,4 @@
-"""The discrete-event scheduler: ordering, timers, channels, determinism.
+"""The discrete-event scheduler: ordering, timers, processes, determinism.
 
 The load harness's acceptance properties (same seed ⇒ same percentiles,
 FIFO fairness at equal timestamps, failsafe timers dying on pickup) all
@@ -6,10 +6,14 @@ reduce to invariants of :mod:`repro.sim.sched`; this file pins them at
 the source.
 """
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.clock import EventTimeline, SimClock
-from repro.sim.sched import Channel, Scheduler, recv, wait
+from repro.sim.sched import Scheduler, Timer, wait
 
 
 def test_events_dispatch_in_time_order():
@@ -43,6 +47,9 @@ def test_scheduling_into_the_past_raises():
         sched.at(50, lambda: None)
     with pytest.raises(ValueError):
         sched.after(-1, lambda: None)
+    with pytest.raises(ValueError):
+        sched.spawn(iter(()), at_time=50)
+    assert sched.stats()["processes_spawned"] == 0
 
 
 def test_wait_resumes_after_delay():
@@ -67,47 +74,6 @@ def test_negative_wait_rejected():
         wait(-5)
 
 
-def test_channel_roundtrip_and_fifo_waiters():
-    """Two receivers parked on one channel are served in park order."""
-    clock = SimClock()
-    sched = Scheduler(clock)
-    got = []
-
-    def receiver(tag):
-        item = yield recv(channel)
-        got.append((tag, item, clock.now()))
-
-    def sender():
-        yield wait(100)
-        channel.put("x")
-        channel.put("y")
-
-    channel = sched.channel("jobs")
-    sched.spawn(receiver("r1"), at_time=0)
-    sched.spawn(receiver("r2"), at_time=1)
-    sched.spawn(sender(), at_time=2)
-    sched.run()
-    assert got == [("r1", "x", 102), ("r2", "y", 102)]
-
-
-def test_channel_buffers_when_no_waiter():
-    sched = Scheduler(SimClock())
-    channel = sched.channel()
-    channel.put(1)
-    channel.put(2)
-    assert len(channel) == 2
-    got = []
-
-    def receiver():
-        got.append((yield recv(channel)))
-        got.append((yield recv(channel)))
-
-    sched.spawn(receiver())
-    sched.run()
-    assert got == [1, 2]
-    assert len(channel) == 0
-
-
 def test_timer_cancellation_prevents_firing():
     """The shard-failover failsafe pattern: cancel on pickup."""
     clock = SimClock()
@@ -122,8 +88,9 @@ def test_timer_cancellation_prevents_firing():
     # cancelling twice is a no-op, not a double count
     assert sched.cancel(timer) is False
     assert sched.timers_cancelled == 1
-    # time still advanced past the cancelled timer's slot
-    assert clock.now() == 1000 or clock.now() == 500
+    # a cancelled entry is popped without moving the clock, so time
+    # rests at the last event that actually fired
+    assert clock.now() == 500
 
 
 def test_cancelled_heap_entries_are_skipped_cheaply():
@@ -247,9 +214,171 @@ def test_process_yielding_garbage_is_a_type_error():
         sched.run()
 
 
-def test_channel_is_exported_from_sim_package():
-    from repro.sim import Channel as ExportedChannel, Scheduler as S, Timer
+def test_scheduler_and_timer_are_exported_from_sim_package():
+    from repro.sim import Scheduler as ExportedScheduler
+    from repro.sim import Timer as ExportedTimer
 
-    assert ExportedChannel is Channel
-    assert S is Scheduler
-    assert Timer is not None
+    assert ExportedScheduler is Scheduler
+    assert ExportedTimer is Timer
+
+
+# -- the dispatch contract against a reference model -------------------- #
+
+
+@st.composite
+def programs(draw):
+    """A random scheduler program: timers (some cancelled by an earlier
+    event), processes whose events advance the clock and then wait, the
+    order they are scheduled in, and the horizon of a first bounded run.
+
+    A timer is ``(how, offset, cancels)``: ``at(start + offset)`` or
+    ``after(offset)``, whose callback cancels timer *cancels* (or none).
+    A process is ``(offset, steps, last_advance)``, spawned at
+    ``start + offset`` (or now, for ``None``); each step
+    ``(advance, delay, cancels)`` is one event that cancels, advances the
+    clock and waits, and a final event advances *last_advance* and ends.
+    """
+    start = draw(st.integers(0, 20))
+    n_timers = draw(st.integers(0, 4))
+    cancels = st.none()
+    if n_timers:
+        cancels = st.none() | st.integers(0, n_timers - 1)
+    timers = [
+        (draw(st.sampled_from(("at", "after"))), draw(st.integers(0, 120)),
+         draw(cancels))
+        for _ in range(n_timers)
+    ]
+    processes = [
+        (draw(st.none() | st.integers(0, 60)),
+         draw(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 30),
+                                 cancels), max_size=4)),
+         draw(st.integers(0, 15)))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    order = draw(st.permutations(
+        [("timer", i) for i in range(n_timers)]
+        + [("process", j) for j in range(len(processes))]
+    ))
+    horizon = start + draw(st.integers(0, 150))
+    return start, timers, processes, order, horizon
+
+
+def run_program(program):
+    """Run *program* on the real scheduler: ``run(until=horizon)``, then
+    ``run()``.  Returns the dispatch log and, per run, the events it
+    processed, the clock after it and ``stats()``."""
+    start, timers, processes, order, horizon = program
+    clock = SimClock(start)
+    sched = Scheduler(clock)
+    log = []
+    handles = {}
+
+    def cancel(target):
+        if target is not None:
+            sched.cancel(handles[target])
+
+    def fire(index):
+        log.append((f"t{index}", clock.now()))
+        cancel(timers[index][2])
+
+    def process(index):
+        _offset, steps, last_advance = processes[index]
+        for step, (advance, delay, target) in enumerate(steps):
+            log.append((f"p{index}.{step}", clock.now()))
+            cancel(target)
+            clock.advance(advance)
+            yield wait(delay)
+        log.append((f"p{index}.end", clock.now()))
+        clock.advance(last_advance)
+
+    for kind, index in order:
+        if kind == "timer":
+            how, offset, _target = timers[index]
+            fn = functools.partial(fire, index)
+            handles[index] = (sched.at(start + offset, fn) if how == "at"
+                              else sched.after(offset, fn))
+        else:
+            offset = processes[index][0]
+            sched.spawn(process(index),
+                        at_time=None if offset is None else start + offset)
+    runs = []
+    for until in (horizon, None):
+        processed = sched.run(until=until)
+        runs.append((processed, clock.now(), sched.stats()))
+    return log, runs
+
+
+def reference(program):
+    """The documented contract as a list-based model: the lowest
+    ``(time, seq)`` entry dispatches first; an event's elapsed time is
+    folded into its process's next wait; a cancelled entry is skipped
+    without moving the clock; a run bounded by a horizon it never
+    reaches idles up to it."""
+    start, timers, processes, order, horizon = program
+    now = start
+    queue = []
+    seq = high_water = cancelled_count = events = 0
+    fired, cancelled = set(), set()
+    log = []
+
+    def push(time, kind, index, step):
+        nonlocal seq, high_water
+        seq += 1
+        queue.append((time, seq, kind, index, step))
+        high_water = max(high_water, len(queue))
+
+    def cancel(target):
+        nonlocal cancelled_count
+        if target is not None and target not in fired | cancelled:
+            cancelled.add(target)
+            cancelled_count += 1
+
+    for kind, index in order:
+        if kind == "timer":
+            push(start + timers[index][1], kind, index, 0)
+        else:
+            push(start + (processes[index][0] or 0), kind, index, 0)
+    runs = []
+    for until in (horizon, None):
+        processed = 0
+        while queue:
+            entry = min(queue)
+            time, _seq, kind, index, step = entry
+            if until is not None and time > until:
+                break
+            queue.remove(entry)
+            if kind == "timer":
+                if index in cancelled:
+                    continue
+                fired.add(index)
+                now = time
+                log.append((f"t{index}", now))
+                cancel(timers[index][2])
+            else:
+                now = time
+                steps = processes[index][1]
+                if step == len(steps):
+                    log.append((f"p{index}.end", now))
+                else:
+                    advance, delay, target = steps[step]
+                    log.append((f"p{index}.{step}", now))
+                    cancel(target)
+                    push(now + advance + delay, kind, index, step + 1)
+            processed += 1
+        events += processed
+        if until is not None and not queue and until > now:
+            now = until
+        runs.append((processed, now, {
+            "events_processed": events,
+            "heap_high_water": high_water,
+            "timers_cancelled": cancelled_count,
+            "processes_spawned": len(processes),
+            "pending": len(queue),
+        }))
+    return log, runs
+
+
+@given(programs())
+@settings(max_examples=300, deadline=None)
+def test_dispatch_matches_the_reference_model(program):
+    assert run_program(program) == reference(program)
