@@ -123,7 +123,8 @@ def string_to_key(password: str, salt: str = "") -> bytes:
 #: CPython 3.11, 2-vCPU Xeon VM, one-block (8-byte padded) passwords,
 #: scalar vs batched µs/key: 13–19 vs 80–114 at 8 candidates, 13–21 vs
 #: 15–21 at 128, 12–23 vs 11–18 at 192; two-block passwords tie at 128
-#: too (30–36 vs 28–37).
+#: too (30–36 vs 28–37).  Wider batches keep gaining (tight loop, median
+#: of 7): 19.8 vs 14.4 at 256, 19.2 vs 8.7 at 1,024, 16.2 vs 7.0 at 2,048.
 _BATCH_FLOOR = 128
 
 
@@ -131,9 +132,11 @@ def string_to_key_many(passwords: Sequence[str], salt: str = "") -> List[bytes]:
     """Derive DES keys for many passwords at once, bit-for-bit identical
     to mapping :func:`string_to_key` over them.
 
-    This is the cracking workload's front half: the fan-fold, parity and
-    weak-key fixes are cheap scalar work, but the CBC checksum is one DES
-    block operation per 8 password bytes — under a *different* key per
+    This is the cracking workload's front half, and it builds the scale
+    model's key table (:mod:`repro.serve.scale` derives every principal
+    a call names in one batch).  The fan-fold, parity and weak-key
+    fixes are cheap scalar work, but the CBC checksum is one DES block
+    operation per 8 password bytes — under a *different* key per
     candidate, the table path's worst case (every guess derives a fresh
     schedule).  Here candidates are grouped by padded length and each
     group's checksum runs through :mod:`repro.crypto.des_bitslice`, whose

@@ -277,8 +277,9 @@ def run_load(
     requests for users homed on the dead shard degrade to
     ``ERR_UNAVAILABLE`` — all of which the report itemises.
 
-    ``principals`` switches to scale mode: N lazily-keyed principals
-    with Zipfian popularity (exponent ``zipf_s``) and, with
+    ``principals`` switches to scale mode: N principals, keyed only
+    for those the run names (in one batch per call), with Zipfian
+    popularity (exponent ``zipf_s``) and, with
     ``diurnal``, a sinusoidal arrival-rate curve, driven through the
     calibrated event model of :mod:`repro.serve.scale`.
 

@@ -19,9 +19,12 @@ failover and counters, routed by CRC-32
 authenticator fingerprint — replay affinity and all).  The unit
 driver (latency histograms, fault timers, replay probe), the client
 backoff, the gauge set and the ``BENCH_kdc.json`` builder are the load
-harness's own (:mod:`repro.load`).  Also real: lazily derived
-principal keys through :func:`repro.crypto.keys.string_to_key`, and
-the discrete-event scheduler itself.
+harness's own (:mod:`repro.load`).  Also real: the discrete-event
+scheduler itself, and the key of every principal a call names,
+derived with the paper's public ``string_to_key`` transform once per
+call, in one bitsliced :func:`repro.crypto.keys.string_to_key_many`
+batch (:func:`_principal_keys`), and read by each unit at the start
+of its AS phase as the KDC reads its database.
 
 Modelled: per-request CPU and wire cost.  Both are **calibrated, not
 invented**: at startup a handful of units run through the real engine on
@@ -56,7 +59,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, Generator, Iterator, List, Optional, Set, Tuple
 
-from repro.crypto.keys import string_to_key
+from repro.crypto.keys import string_to_key_many
 from repro.crypto.rng import DeterministicRandom
 from repro.kerberos.config import ProtocolConfig
 from repro.kerberos.kdc import AS_SERVICE, TGS_SERVICE
@@ -77,7 +80,7 @@ from repro.sim.workload import (
 )
 from repro.testbed import DEFAULT_REALM, Testbed
 
-__all__ = ["run_scale_model", "calibrate", "LazyPrincipalKeys"]
+__all__ = ["run_scale_model", "calibrate"]
 
 #: Mean interarrival for the scale model's open-loop calendar, in
 #: microseconds.  Against the calibrated per-unit CPU cost (one AS +
@@ -111,35 +114,28 @@ WIDE_CURVE_GRID: "List[Tuple[int, int]]" = [
 _CALIBRATION_CACHE: Dict[int, Dict[str, int]] = {}
 
 
-class LazyPrincipalKeys:
-    """N principals whose DES keys are derived on first touch.
+def _draw_ranks(seed_rng: DeterministicRandom, principals: int,
+                zipf_s: float, count: int) -> List[int]:
+    """The principal ranks of a run's *count* arrivals, in arrival
+    order, from the first fork (``"zipf"``) of the run's stream."""
+    zipf = ZipfianGenerator(principals, s=zipf_s, rng=seed_rng.fork("zipf"))
+    return [zipf.sample() for _ in range(count)]
+
+
+def _principal_keys(ranks: Set[int]) -> Dict[int, bytes]:
+    """rank → DES key for each of *ranks*, derived in one batch.
 
     Precomputing a million ``string_to_key`` results would dwarf the run
-    itself; real KDCs do not do it either — the key is read when the
-    principal authenticates.  ``materialized`` counts how many of the N
-    ever did; with Zipfian popularity it stays far below N, and the
-    report surfaces the gap.
+    itself, and real KDCs do not do it either.  But every run draws its
+    ranks before its first arrival, so a call knows each principal it
+    will name up front: this derives exactly those, once, through the
+    bitsliced :func:`repro.crypto.keys.string_to_key_many`.  Ranks go
+    in sorted, so the batch is the same for a seed.
     """
-
-    def __init__(self, total: int) -> None:
-        if total < 1:
-            raise ValueError("need at least one principal")
-        self.total = total
-        self._keys: Dict[int, bytes] = {}
-
-    @property
-    def materialized(self) -> int:
-        return len(self._keys)
-
-    @staticmethod
-    def name(rank: int) -> str:
-        return f"user{rank}"
-
-    def key_for(self, rank: int) -> bytes:
-        key = self._keys.get(rank)
-        if key is None:
-            key = self._keys[rank] = string_to_key(f"pw-{rank}")
-        return key
+    ordered = sorted(ranks)
+    return dict(zip(ordered, string_to_key_many(
+        [f"pw-{rank}" for rank in ordered]
+    )))
 
 
 def calibrate(seed: int = 0) -> Dict[str, int]:
@@ -279,26 +275,28 @@ def _pareto_frontier(cells: List[Dict[str, Any]]) -> None:
 
 
 def _run_model_once(
-    principals: int, shards: int, workers_per_shard: int, requests: int,
-    replay_cache_capacity: int, interarrival_us: int, zipf_s: float,
-    diurnal: bool, faults: bool, seed_rng: DeterministicRandom,
-    cal: Dict[str, int], gauges: bool,
+    ranks: List[int], keys: Dict[int, bytes], shards: int,
+    workers_per_shard: int, replay_cache_capacity: int,
+    interarrival_us: int, diurnal: bool, faults: bool,
+    seed_rng: DeterministicRandom, cal: Dict[str, int], gauges: bool,
 ) -> LoadRun:
-    """One complete model run on a fresh model; the load harness's
-    gauge set is sampled only when *gauges* is set (the main run).
+    """One complete model run on a fresh model, one unit per entry of
+    *ranks*; the load harness's gauge set is sampled only when *gauges*
+    is set (the main run).
 
     ``seed_rng`` is a :class:`repro.crypto.rng.DeterministicRandom` the
-    caller forked; everything below draws from labelled forks of it, so
-    the main run and each scaling-curve cell are independent streams
-    and the whole thing replays identically for a seed.
+    caller forked and drew *ranks* from (:func:`_draw_ranks`);
+    everything below draws from further labelled forks of it, so the
+    main run and each scaling-curve cell are independent streams and
+    the whole thing replays identically for a seed.  *keys* holds the
+    key of every rank in *ranks* (:func:`_principal_keys`).
     """
+    requests = len(ranks)
     model = _Model(shards, workers_per_shard, replay_cache_capacity, cal)
     sched, clock = model.sched, model.clock
     sampler = (cluster_sampler(clock, model, lambda: model.retries,
                                interarrival_us)
                if gauges else TickSampler(clock))
-    keys = LazyPrincipalKeys(principals)
-    zipf = ZipfianGenerator(principals, s=zipf_s, rng=seed_rng.fork("zipf"))
     backoff_rng = seed_rng.fork("backoff")
     curve = None
     if diurnal:
@@ -314,7 +312,6 @@ def _run_model_once(
     ))
 
     recorded_tgs: List[Tuple[str, int, bytes, int]] = []
-    ranks = [zipf.sample() for _ in range(requests)]
 
     # TGS authenticator fingerprints: unique per op, mixed with a
     # seed-derived tag so different seeds populate (and route through)
@@ -324,8 +321,8 @@ def _run_model_once(
     def unit(op: int, intended: int, finish: Finish) -> Iterator[Any]:
         sampler.poll()
         rank = ranks[op]
-        client = keys.name(rank)
-        keys.key_for(rank)  # the AS key lookup: derive-on-first-touch
+        client = f"user{rank}"
+        keys[rank]  # the AS phase's database read of the client's key
         marks = [intended]
         outcome, _ = yield from model._request(
             AS_SERVICE, shard_of(client, shards), cal["as_block_ops"],
@@ -373,18 +370,7 @@ def _run_model_once(
         recorded=lambda: recorded_tgs, replay=replay,
     )
     return LoadRun(
-        frontend=model,
-        workload={
-            "mode": "model",
-            "principals": {
-                "total": principals,
-                "materialized": keys.materialized,
-            },
-            "zipf_s": zipf_s,
-            "diurnal": bool(diurnal),
-            "calibration": cal,
-        },
-        client_retries=model.retries, **driven,
+        frontend=model, workload={}, client_retries=model.retries, **driven,
     )
 
 
@@ -406,32 +392,51 @@ def run_scale_model(
     their defaults, times the run and builds the report."""
     cal = calibrate(seed)
     root_rng = DeterministicRandom(seed)
+    grid = WIDE_CURVE_GRID if scaling_curve else DEFAULT_CURVE_GRID
+    curve_requests = min(requests, 3000)
+    # Every run's ranks come from its own stream's first fork, so drawing
+    # them all before any run starts changes no draw, and the main run
+    # and the curve cells can share one key table.
+    main_rng = root_rng.fork("scale:main")
+    cell_rngs = [root_rng.fork(f"curve:{cell_shards}x{cell_workers}")
+                 for cell_shards, cell_workers in grid]
+    main_ranks = _draw_ranks(main_rng, principals, zipf_s, requests)
+    cell_ranks = [_draw_ranks(rng, principals, zipf_s, curve_requests)
+                  for rng in cell_rngs]
+    keys = _principal_keys(set(main_ranks).union(*cell_ranks))
+
     run = _run_model_once(
-        principals, shards, workers_per_shard, requests,
-        replay_cache_capacity, interarrival_us, zipf_s, diurnal, faults,
-        root_rng.fork("scale:main"), cal, gauges=True,
+        main_ranks, keys, shards, workers_per_shard, replay_cache_capacity,
+        interarrival_us, diurnal, faults, main_rng, cal, gauges=True,
     )
+    run.workload = {
+        "mode": "model",
+        "principals": {
+            "total": principals,
+            "materialized": len(set(main_ranks)),
+        },
+        "zipf_s": zipf_s,
+        "diurnal": bool(diurnal),
+        "calibration": cal,
+    }
 
     # -- scaling curve: capacity frontier at overload --------------------
     # Each cell is offered CURVE_OVERLOAD × its own estimated capacity
     # (from the calibrated batched per-unit CPU cost), so every cell —
     # including the largest — genuinely saturates and completed/elapsed
     # measures what the cell can do, not what it was fed.
-    grid = WIDE_CURVE_GRID if scaling_curve else DEFAULT_CURVE_GRID
-    curve_requests = min(requests, 3000)
     unit_cpu_us = 2 * DEFAULT_BATCH_OVERHEAD_US + int(
         (cal["as_block_ops"] + cal["tgs_block_ops"]) * DEFAULT_US_PER_BLOCK_OP
     )
     cells: List[Dict[str, Any]] = []
-    for cell_shards, cell_workers in grid:
+    for (cell_shards, cell_workers), rng, ranks in zip(
+            grid, cell_rngs, cell_ranks):
         cell_interarrival = max(
             1, unit_cpu_us // (CURVE_OVERLOAD * cell_shards * cell_workers)
         )
         cell = _run_model_once(
-            principals, cell_shards, cell_workers, curve_requests,
-            replay_cache_capacity, cell_interarrival, zipf_s,
-            diurnal=False, faults=False,
-            seed_rng=root_rng.fork(f"curve:{cell_shards}x{cell_workers}"),
+            ranks, keys, cell_shards, cell_workers, replay_cache_capacity,
+            cell_interarrival, diurnal=False, faults=False, seed_rng=rng,
             cal=cal, gauges=False,
         )
         cell_wait = LogHistogram()

@@ -59,11 +59,6 @@ class EventTimeline:
     def __init__(self) -> None:
         self.elapsed = 0
 
-    def reset(self) -> int:
-        """Zero the accumulator, returning what had accumulated."""
-        taken, self.elapsed = self.elapsed, 0
-        return taken
-
 
 class SimClock:
     """The simulation's true time, advanced explicitly by scenarios."""

@@ -164,6 +164,18 @@ def test_string_to_key_many_batched_groups_equal_scalar(salt):
         [string_to_key(p, salt) for p in passwords]
 
 
+def test_string_to_key_many_at_scale_model_widths():
+    """Scale mode derives every principal a call names in one batch:
+    thousands of ``pw-{rank}`` lanes (about 20k in a default-size
+    million-principal run), far wider than the cases above.  Nothing
+    else reads those keys, so every lane is checked here."""
+    passwords = ([f"pw-{rank}" for rank in range(0, 96_200, 37)]
+                 + [f"pw-{rank}" for rank in range(100_000, 1_000_000, 3_001)])
+    assert len(passwords) == 2_900  # 2,600 one-block, 300 two-block
+    assert string_to_key_many(passwords) == \
+        [string_to_key(p) for p in passwords]
+
+
 @given(st.lists(st.text(max_size=40), min_size=1, max_size=40),
        st.text(max_size=12))
 @settings(max_examples=20, deadline=None)

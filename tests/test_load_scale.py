@@ -9,11 +9,14 @@ import json
 
 import pytest
 
+from repro.crypto.keys import string_to_key, string_to_key_many
 from repro.crypto.rng import DeterministicRandom
 from repro.kerberos.kdc import AS_SERVICE
 from repro.load import RETRY_POLICY, LoadInputError, render_report, run_load
+from repro.serve import scale
 from repro.serve.cluster import Frontend, KdcCluster
-from repro.serve.scale import LazyPrincipalKeys, _Model, calibrate
+from repro.serve.scale import _Model, calibrate
+from repro.sim.workload import ZipfianGenerator
 
 PRINCIPALS = 30_000
 REQUESTS = 2_500
@@ -41,20 +44,41 @@ def test_calibration_is_measured_and_positive():
     assert calibrate(seed=0) == cal  # cached and stable
 
 
-# -- lazy principals -----------------------------------------------------
+# -- principal keys ------------------------------------------------------
 
-def test_lazy_keys_materialize_on_first_touch():
-    keys = LazyPrincipalKeys(1000)
-    assert keys.materialized == 0
-    k = keys.key_for(3)
-    assert len(k) == 8
-    assert keys.key_for(3) is k
-    assert keys.materialized == 1
+def test_scale_call_derives_each_principal_once(monkeypatch):
+    """The main run and every curve cell read one key table: each
+    principal the call names is derived exactly once, to the key the
+    paper's ``string_to_key`` gives its password."""
+    derived = []
 
+    def one(password, salt=""):
+        key = string_to_key(password, salt)
+        derived.append((password, key))
+        return key
 
-def test_lazy_keys_reject_empty_population():
-    with pytest.raises(ValueError):
-        LazyPrincipalKeys(0)
+    def many(passwords, salt=""):
+        out = string_to_key_many(passwords, salt)
+        derived.extend(zip(passwords, out))
+        return out
+
+    # Wrap whichever derivation functions the model module calls.
+    for name, wrapper in (("string_to_key", one),
+                          ("string_to_key_many", many)):
+        if hasattr(scale, name):
+            monkeypatch.setattr(scale, name, wrapper)
+    report = run_load(principals=2000, requests=200, seed=1, out_path=None)
+
+    passwords = [password for password, _ in derived]
+    assert len(passwords) == len(set(passwords))
+    for password, key in derived:
+        assert key == string_to_key(password)
+    # The main run's ranks are the first fork of its stream.
+    zipf = ZipfianGenerator(2000, s=1.1, rng=DeterministicRandom(1)
+                            .fork("scale:main").fork("zipf"))
+    main = {zipf.sample() for _ in range(200)}
+    assert {f"pw-{rank}" for rank in main} <= set(passwords)
+    assert report["workload"]["principals"]["materialized"] == len(main)
 
 
 def test_zipf_population_touches_a_small_fraction(report):

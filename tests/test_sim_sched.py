@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.clock import EventTimeline, SimClock
+from repro.sim.clock import SimClock
 from repro.sim.sched import Scheduler, Timer, wait
 
 
@@ -185,14 +185,6 @@ def test_same_seed_identical_event_trace():
         return trace
 
     assert run_once() == run_once()
-
-
-def test_event_timeline_reset_returns_and_zeroes():
-    timeline = EventTimeline()
-    timeline.elapsed = 42
-    assert timeline.reset() == 42
-    assert timeline.elapsed == 0
-    assert timeline.reset() == 0
 
 
 def test_clock_advance_to_rejects_backwards():
