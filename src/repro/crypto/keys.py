@@ -25,7 +25,9 @@ from typing import Dict, List, Sequence
 
 from repro.crypto import modes
 from repro.crypto.bits import transpose_in, transpose_out
-from repro.crypto.des import BLOCK_SIZE, is_weak_key, set_odd_parity
+from repro.crypto.des import (
+    BLOCK_SIZE, SEMIWEAK_KEYS, WEAK_KEYS, set_odd_parity,
+)
 
 __all__ = ["KeyTag", "TaggedKey", "string_to_key", "string_to_key_many"]
 
@@ -73,6 +75,31 @@ def _pad_password(password: str, salt: str) -> bytes:
     return modes.pad_zero(data) or bytes(BLOCK_SIZE)
 
 
+#: The FIPS 74 weak and semi-weak keys, all in odd-parity form, so a
+#: parity-fixed key is weak exactly when it is in this set.
+_WEAK_KEYS = WEAK_KEYS | SEMIWEAK_KEYS
+
+
+def _finalize_key(block: bytes) -> bytes:
+    """Parity-fix *block* and turn a weak or semi-weak key strong: the
+    last step of the fan-fold and of the CBC checksum alike."""
+    key = set_odd_parity(block)
+    if key in _WEAK_KEYS:
+        key = bytes([key[0] ^ 0xF0]) + key[1:]
+    return key
+
+
+def _finalize_keys(blocks: Sequence[bytes]) -> List[bytes]:
+    """:func:`_finalize_key` over each of *blocks*, with one parity fix
+    over all of them joined."""
+    fixed = set_odd_parity(b"".join(blocks))
+    weak = _WEAK_KEYS
+    keys = [fixed[offset:offset + BLOCK_SIZE]
+            for offset in range(0, len(fixed), BLOCK_SIZE)]
+    return [bytes([key[0] ^ 0xF0]) + key[1:] if key in weak else key
+            for key in keys]
+
+
 def _fanfold_key(padded: bytes) -> bytes:
     """Fan-fold *padded* into 8 bytes, fix parity, and fix weak keys."""
     fanfold = 0
@@ -81,19 +108,7 @@ def _fanfold_key(padded: bytes) -> bytes:
         if (chunk_index // BLOCK_SIZE) % 2 == 1:
             chunk = chunk[::-1].translate(_REVERSED_7BITS)
         fanfold ^= int.from_bytes(chunk, "big")
-
-    folded = set_odd_parity(fanfold.to_bytes(BLOCK_SIZE, "big"))
-    if is_weak_key(folded):
-        folded = bytes([folded[0] ^ 0xF0]) + folded[1:]
-    return folded
-
-
-def _finalize_key(chain: bytes) -> bytes:
-    """Parity-fix and weak-key-fix the final CBC checksum block."""
-    final = set_odd_parity(chain)
-    if is_weak_key(final):
-        final = bytes([final[0] ^ 0xF0]) + final[1:]
-    return final
+    return _finalize_key(fanfold.to_bytes(BLOCK_SIZE, "big"))
 
 
 def string_to_key(password: str, salt: str = "") -> bytes:
@@ -135,12 +150,14 @@ def string_to_key_many(passwords: Sequence[str], salt: str = "") -> List[bytes]:
     This is the cracking workload's front half, and it builds the scale
     model's key table (:mod:`repro.serve.scale` derives every principal
     a call names in one batch).  The fan-fold, parity and weak-key
-    fixes are cheap scalar work, but the CBC checksum is one DES block
-    operation per 8 password bytes — under a *different* key per
-    candidate, the table path's worst case (every guess derives a fresh
-    schedule).  Here candidates are grouped by padded length and each
-    group's checksum runs through :mod:`repro.crypto.des_bitslice`, whose
-    per-lane key schedules are free.
+    fixes are cheap, but the CBC checksum is one DES block operation per
+    8 password bytes — under a *different* key per candidate, the table
+    path's worst case (every guess derives a fresh schedule).  Here
+    candidates are grouped by padded length and each group's checksum
+    runs through :mod:`repro.crypto.des_bitslice`, whose per-lane key
+    schedules are free.  Each group's parity and weak-key fixes run in
+    one pass over its keys joined (:func:`_finalize_keys`), and a
+    one-block group needs no fan-fold: it is the padded block itself.
     """
     if len(passwords) < _BATCH_FLOOR:
         return [string_to_key(candidate, salt) for candidate in passwords]
@@ -159,7 +176,11 @@ def string_to_key_many(passwords: Sequence[str], salt: str = "") -> List[bytes]:
             for index in indices:
                 out[index] = string_to_key(passwords[index], salt)
             continue
-        folded = [_fanfold_key(padded_all[index]) for index in indices]
+        if length == BLOCK_SIZE:
+            # A one-block fan-fold is the padded block itself.
+            folded = _finalize_keys([padded_all[index] for index in indices])
+        else:
+            folded = [_fanfold_key(padded_all[index]) for index in indices]
         sliced = des_bitslice.BitslicedKeys(folded)
         chain = transpose_in(folded)  # the fan-fold key doubles as the IV
         for offset in range(0, length, BLOCK_SIZE):
@@ -170,6 +191,7 @@ def string_to_key_many(passwords: Sequence[str], salt: str = "") -> List[bytes]:
             chain = des_bitslice.encrypt_lanes(
                 sliced, [p ^ c for p, c in zip(plain, chain)]
             )
-        for index, block in zip(indices, transpose_out(chain, len(indices))):
-            out[index] = _finalize_key(block)
+        finals = _finalize_keys(transpose_out(chain, len(indices)))
+        for index, key in zip(indices, finals):
+            out[index] = key
     return out

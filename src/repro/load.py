@@ -68,7 +68,7 @@ from repro.kerberos.messages import (
     ERR_REPLAY, ERR_UNAVAILABLE, decode_error, unframe,
 )
 from repro.obs.metrics import MetricsRegistry, MetricsSink
-from repro.obs.timeseries import LogHistogram, TickSampler
+from repro.obs.timeseries import FOLD_THRESHOLD, LogHistogram, TickSampler
 from repro.obs.trace import Tracer
 from repro.serve.cluster import Frontend
 from repro.serve.pool import DEFAULT_US_PER_BLOCK_OP
@@ -182,8 +182,12 @@ def run_units(
     unit *op*, spawned at its *intended* arrival.  It keeps ``marks`` —
     *intended*, then the end of each phase it completed — and ends by
     calling ``finish(marks, error)``, *error* being ``None`` or the
-    error kind.  ``finish`` records each completed phase; a completed
-    unit also records its latency, a failed one tallies its error.
+    error kind.  ``finish`` appends each completed phase's duration to
+    that phase's sample list; a completed unit also appends its
+    latency, a failed one tallies its error.  The lists are folded into
+    their :class:`~repro.obs.timeseries.LogHistogram`\\ s in bulk, every
+    :data:`~repro.obs.timeseries.FOLD_THRESHOLD` units and once after
+    the run, so a long run holds a bounded number of raw samples.
 
     With a fault *window*, ``fail(shard)`` runs at the arrival of op
     ``first_op`` and ``restore(shard)`` at that of op ``last_op + 1``.
@@ -196,26 +200,36 @@ def run_units(
     tests/test_serve_cluster.py).
     """
     latency = {name: LogHistogram() for name in ("unit",) + PHASES}
-    unit_latency = latency["unit"]
-    phase_latency = [latency[name] for name in PHASES]
+    samples: Dict[str, List[int]] = {name: [] for name in latency}
+    unit_samples = samples["unit"]
+    phase_samples = [samples[name] for name in PHASES]
     errors: Dict[str, int] = {}
     completed = 0
+    finished = 0
     seen_at_restore = 0
 
+    def fold() -> None:
+        for name, histogram in latency.items():
+            histogram.record_many(samples[name])
+            samples[name].clear()
+
     def finish(marks: List[int], error: Optional[str]) -> None:
-        nonlocal completed
+        nonlocal completed, finished
         start = last = marks[0]
         for phase in range(1, len(marks)):
             mark = marks[phase]
-            phase_latency[phase - 1].record(mark - last)
+            phase_samples[phase - 1].append(mark - last)
             last = mark
         if error is None:
             # Intended open-loop start to AP completion: queueing is
             # charged to the units that experienced it.
-            unit_latency.record(last - start)
+            unit_samples.append(last - start)
             completed += 1
         else:
             errors[error] = errors.get(error, 0) + 1
+        finished += 1
+        if finished % FOLD_THRESHOLD == 0:
+            fold()
 
     def restore_and_cut(shard: int) -> None:
         nonlocal seen_at_restore
@@ -236,6 +250,7 @@ def run_units(
     for op, intended in enumerate(arrivals):
         sched.spawn(unit(op, intended, finish), at_time=intended)
     sched.run()
+    fold()
     sampler.tick()  # final reading at end-of-run state
     sim_elapsed_us = clock.now() - sim_start
 

@@ -46,12 +46,17 @@ via ``des.get_schedule``'s cache, code and tables hot) and are charged
 the smaller :data:`DEFAULT_BATCH_OVERHEAD_US`.  The pool counts how
 often that happens so benchmarks can report the amortisation.
 
-Telemetry: every ``schedule`` records its queue wait and service time
-into mergeable :class:`repro.obs.timeseries.LogHistogram`\\ s (per-shard
-percentiles in ``BENCH_kdc.json``; cluster-wide ones are a fold), and
-the pool answers :meth:`queue_depth` and :meth:`utilization_pct` for
-the tick-sampled gauges the load harness reports and ``python -m repro
-monitor`` plots.
+Telemetry: every ``schedule`` appends its queue wait and service time
+to two plain lists, which are folded in bulk into mergeable
+:class:`repro.obs.timeseries.LogHistogram`\\ s (per-shard percentiles
+in ``BENCH_kdc.json``; cluster-wide ones are a fold) when a histogram
+is read and every :data:`repro.obs.timeseries.FOLD_THRESHOLD` jobs.
+``jobs``, ``queue_wait_us`` and ``max_queue_wait_us`` are read off the
+wait histogram.  The pool answers :meth:`queue_depth` and
+:meth:`utilization_pct` for the tick-sampled gauges the load harness
+reports and ``python -m repro monitor`` plots; the in-flight heap
+behind :meth:`queue_depth` is filled only when it is read, so a pool
+nobody samples (a scaling-curve cell) never pays for it.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Tuple
 
-from repro.obs.timeseries import LogHistogram
+from repro.obs.timeseries import FOLD_THRESHOLD, LogHistogram
 
 __all__ = ["WorkerPool"]
 
@@ -73,6 +78,10 @@ DEFAULT_BATCH_WINDOW_US = 500
 DEFAULT_US_PER_BLOCK_OP = 2.0
 
 
+#: ``_last_start`` before the first job: no batch is open.
+_NO_JOB_YET = -(10**18)
+
+
 class WorkerPool:
     """N virtual workers for one shard, tracked as a heap of free-times."""
 
@@ -83,19 +92,21 @@ class WorkerPool:
         # Heap of times at which each worker next comes free.
         self._free: List[int] = [0] * workers
         heapq.heapify(self._free)
-        self._last_start = -(10**18)  # no batch in progress
-        # (finish, arrival) of admitted jobs, for instantaneous queue depth.
+        self._last_start = _NO_JOB_YET
+        # (finish, arrival) of admitted jobs, for instantaneous queue
+        # depth: appended here, pushed onto the heap when it is read.
+        self._admitted: List[Tuple[int, int]] = []
         self._inflight: List[Tuple[int, int]] = []
+        # Per-job samples not yet folded into the histograms.
+        self._waits: List[int] = []
+        self._services: List[int] = []
+        self._wait_histogram = LogHistogram()
+        self._service_histogram = LogHistogram()
         # -- accounting ------------------------------------------------
-        self.jobs = 0
         self.batched_jobs = 0
         self.busy_us = 0
-        self.queue_wait_us = 0
-        self.max_queue_wait_us = 0
         self.first_arrival_us = 0   # pool-timeline window for utilization
         self.last_finish_us = 0
-        self.wait_histogram = LogHistogram()
-        self.service_histogram = LogHistogram()
 
     def schedule(self, arrival: int, block_ops: int) -> Tuple[int, int]:
         """Admit a request that arrived at *arrival* costing *block_ops*
@@ -106,30 +117,65 @@ class WorkerPool:
         """
         soonest_free = heapq.heappop(self._free)
         start = max(arrival, soonest_free)
-        in_batch = start - self._last_start <= DEFAULT_BATCH_WINDOW_US
+        last_start = self._last_start
+        in_batch = start - last_start <= DEFAULT_BATCH_WINDOW_US
         overhead = (DEFAULT_BATCH_OVERHEAD_US if in_batch
                     else DEFAULT_OVERHEAD_US)
         service = overhead + int(block_ops * DEFAULT_US_PER_BLOCK_OP)
         finish = start + service
         heapq.heappush(self._free, finish)
-        heapq.heappush(self._inflight, (finish, arrival))
+        self._admitted.append((finish, arrival))
         self._last_start = start
 
-        if not self.jobs:
+        if last_start == _NO_JOB_YET:
             self.first_arrival_us = arrival
-        self.jobs += 1
         if in_batch:
             self.batched_jobs += 1
         self.busy_us += service
         if finish > self.last_finish_us:
             self.last_finish_us = finish
-        wait = start - arrival
-        self.queue_wait_us += wait
-        if wait > self.max_queue_wait_us:
-            self.max_queue_wait_us = wait
-        self.wait_histogram.record(wait)
-        self.service_histogram.record(service)
+        waits = self._waits
+        waits.append(start - arrival)
+        self._services.append(service)
+        if len(waits) >= FOLD_THRESHOLD:
+            self._fold()
         return start, finish
+
+    def _fold(self) -> None:
+        """Fold the pending per-job samples into the histograms."""
+        self._wait_histogram.record_many(self._waits)
+        self._service_histogram.record_many(self._services)
+        self._waits.clear()
+        self._services.clear()
+
+    @property
+    def wait_histogram(self) -> LogHistogram:
+        """Queue wait of every job admitted so far, in microseconds."""
+        self._fold()
+        return self._wait_histogram
+
+    @property
+    def service_histogram(self) -> LogHistogram:
+        """Service time of every job admitted so far, in microseconds."""
+        self._fold()
+        return self._service_histogram
+
+    # The wait histogram counts, sums and maxes its samples exactly.
+
+    @property
+    def jobs(self) -> int:
+        """Jobs admitted so far."""
+        return self.wait_histogram.count
+
+    @property
+    def queue_wait_us(self) -> int:
+        """Total queue wait over every job, in microseconds."""
+        return self.wait_histogram.total
+
+    @property
+    def max_queue_wait_us(self) -> int:
+        """Longest queue wait of any job, in microseconds."""
+        return self.wait_histogram.max_value
 
     # -- instantaneous gauges (tick-sampled by the monitor) -------------
 
@@ -139,6 +185,9 @@ class WorkerPool:
         request one wire transit before it arrives, and a job that has
         not arrived is not in the queue yet."""
         inflight = self._inflight
+        for job in self._admitted:
+            heapq.heappush(inflight, job)
+        self._admitted.clear()
         while inflight and inflight[0][0] <= now:
             heapq.heappop(inflight)
         return sum(1 for _finish, arrival in inflight if arrival <= now)

@@ -35,7 +35,9 @@ synchronously inside one scheduler event, as an engine handler is: one
 wire transit, admission to the shard's pool with the calibrated
 block-op count (``WorkerPool.schedule``), the replay check, then the
 pool's finish plus the return transit.  Those clock advances land on
-the event timeline, so a unit with no retries costs four events.
+the event timeline, so a unit with no retries costs three events: its
+arrival, which serves the AS request; the zero wait after AS, which
+serves the TGS request; and the end of the AP phase's calibrated wait.
 
 Crash semantics match the engine's: a downed shard refuses new
 requests at dispatch (TGS fails over, AS retries and may end
@@ -349,8 +351,6 @@ def _run_model_once(
         marks.append(clock.now())
         assert served_by is not None  # an "ok" request was served
         recorded_tgs.append((client, auth_time, fingerprint, served_by))
-        yield wait(0)
-
         yield wait(cal["ap_us"])
         marks.append(clock.now())
         finish(marks, None)

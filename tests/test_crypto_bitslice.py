@@ -176,6 +176,21 @@ def test_string_to_key_many_at_scale_model_widths():
         [string_to_key(p) for p in passwords]
 
 
+def test_string_to_key_many_fixes_weak_fan_folds_in_a_batch():
+    """Both passwords fan-fold to a FIPS 74 weak key (their padded block
+    is one, parity and all), so the batched path's one-pass weak-key
+    fix must turn them strong exactly as scalar derivation does."""
+    weak = ["\x01" * 8, "\x1f\x1f\x1f\x1f\x0e\x0e\x0e\x0e"]
+    for password in weak:
+        # a one-block fan-fold is the padded block itself
+        assert keys._pad_password(password, "") in des.WEAK_KEYS
+    passwords = ([f"pw{i:05d}" for i in range(keys._BATCH_FLOOR)]
+                 + weak + [weak[0]])
+    assert len({len(keys._pad_password(p, "")) for p in passwords}) == 1
+    assert string_to_key_many(passwords) == \
+        [string_to_key(p) for p in passwords]
+
+
 @given(st.lists(st.text(max_size=40), min_size=1, max_size=40),
        st.text(max_size=12))
 @settings(max_examples=20, deadline=None)

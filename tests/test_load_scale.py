@@ -306,11 +306,11 @@ def test_modelled_backoff_sees_a_restore():
     assert model.requests[AS_SERVICE] == 2
 
 
-def test_modelled_unit_costs_four_events():
+def test_modelled_unit_costs_three_events():
     requests = 150
     run = run_load(principals=2000, requests=requests, seed=2,
                    faults=False, out_path=None)
-    assert run["scheduler"]["events_processed"] == 4 * requests
+    assert run["scheduler"]["events_processed"] == 3 * requests
 
 
 def test_render_report_shows_principals_and_curve(report):

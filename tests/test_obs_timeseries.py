@@ -7,7 +7,7 @@ agree bucket for bucket, or the per-shard recording in
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.timeseries import (
@@ -114,6 +114,58 @@ def test_copy_is_independent():
 def test_negative_values_are_rejected():
     with pytest.raises(ValueError):
         LogHistogram().record(-1)
+
+
+def _books(hist):
+    return (hist.snapshot(), hist.count, hist.total, hist.min_value,
+            hist.max_value, hist.summary())
+
+
+_SAMPLES = st.one_of(
+    st.just(0),
+    st.integers(min_value=0, max_value=63),   # exact buckets at sub_bits=6
+    st.integers(min_value=2**40 - 4096, max_value=2**40 + 4096),
+    st.integers(min_value=0, max_value=2**40),
+)
+
+
+@given(sub_bits=st.sampled_from([1, 6, 16]),
+       before=st.lists(_SAMPLES, max_size=20),
+       values=st.lists(_SAMPLES, max_size=300))
+@example(sub_bits=6, before=[], values=[])
+@example(sub_bits=6, before=[], values=[0, 0, 0])
+@example(sub_bits=6, before=[], values=list(range(64)))
+@example(sub_bits=6, before=[], values=[2**40 - 1, 2**40, 2**40 + 1])
+@example(sub_bits=6, before=[7, 0, 2**40], values=[64, 65, 0, 63, 2**40])
+@settings(max_examples=200, deadline=None)
+def test_record_many_equals_a_loop_of_record(sub_bits, before, values):
+    """The load harness folds its samples in bulk; the histogram must
+    be the one recording them one by one would have built, including
+    after earlier single records."""
+    looped, bulk = LogHistogram(sub_bits), LogHistogram(sub_bits)
+    for value in before:
+        looped.record(value)
+        bulk.record(value)
+    for value in values:
+        looped.record(value)
+    bulk.record_many(values)
+    assert _books(bulk) == _books(looped)
+
+
+@given(before=st.lists(_SAMPLES, max_size=20),
+       values=st.lists(st.integers(min_value=-2**40, max_value=2**40),
+                       min_size=1, max_size=50).filter(
+                           lambda values: min(values) < 0))
+@settings(max_examples=100, deadline=None)
+def test_record_many_rejects_negatives_before_changing_anything(
+        before, values):
+    hist = LogHistogram()
+    for value in before:
+        hist.record(value)
+    books = _books(hist)
+    with pytest.raises(ValueError):
+        hist.record_many(values)
+    assert _books(hist) == books
 
 
 def test_percentile_of_nearest_rank():

@@ -6,13 +6,18 @@ preserved when no policy is set.  Plus the queueing model that turns
 the synchronous simulation into measurable p95/p99 latency.
 """
 
+import heapq
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Testbed, ProtocolConfig
 from repro.crypto.rng import DeterministicRandom
 from repro.kerberos.client import KerberosError, RetryPolicy
 from repro.kerberos.principal import Principal
 from repro.obs.bus import capture
+from repro.obs.timeseries import FOLD_THRESHOLD, LogHistogram
 from repro.serve.pool import (
     DEFAULT_BATCH_OVERHEAD_US, DEFAULT_BATCH_WINDOW_US, DEFAULT_OVERHEAD_US,
     DEFAULT_US_PER_BLOCK_OP, WorkerPool,
@@ -202,6 +207,103 @@ def test_queue_depth_counts_only_arrived_jobs():
 def test_pool_rejects_zero_workers():
     with pytest.raises(ValueError):
         WorkerPool(workers=0)
+
+
+class _EagerPool:
+    """Reference model: ``WorkerPool``'s bookkeeping done eagerly —
+    every counter, histogram and in-flight heap entry updated inside
+    ``schedule``."""
+
+    def __init__(self, workers):
+        self.workers = workers
+        self._free = [0] * workers
+        self._last_start = -(10**18)
+        self._inflight = []
+        self.jobs = self.batched_jobs = self.busy_us = 0
+        self.queue_wait_us = self.max_queue_wait_us = 0
+        self.first_arrival_us = self.last_finish_us = 0
+        self.wait_histogram = LogHistogram()
+        self.service_histogram = LogHistogram()
+
+    def schedule(self, arrival, block_ops):
+        start = max(arrival, heapq.heappop(self._free))
+        in_batch = start - self._last_start <= WINDOW
+        service = _service(block_ops, warm=in_batch)
+        finish = start + service
+        heapq.heappush(self._free, finish)
+        heapq.heappush(self._inflight, (finish, arrival))
+        self._last_start = start
+        if not self.jobs:
+            self.first_arrival_us = arrival
+        self.jobs += 1
+        if in_batch:
+            self.batched_jobs += 1
+        self.busy_us += service
+        self.last_finish_us = max(self.last_finish_us, finish)
+        wait = start - arrival
+        self.queue_wait_us += wait
+        self.max_queue_wait_us = max(self.max_queue_wait_us, wait)
+        self.wait_histogram.record(wait)
+        self.service_histogram.record(service)
+        return start, finish
+
+    def queue_depth(self, now):
+        while self._inflight and self._inflight[0][0] <= now:
+            heapq.heappop(self._inflight)
+        return sum(1 for _finish, arrival in self._inflight
+                   if arrival <= now)
+
+    # Only the bookkeeping is under test; the readers are shared.
+    utilization_pct = WorkerPool.utilization_pct
+    stats = WorkerPool.stats
+
+
+_POOL_STEPS = st.lists(st.one_of(
+    # ("job", gap since the previous arrival, DES block ops)
+    st.tuples(st.just("job"), st.integers(0, 400), st.integers(0, 120)),
+    # ("read", offset of the gauge read from the latest arrival)
+    st.tuples(st.just("read"), st.integers(-300, 3000), st.just(0)),
+), max_size=250)
+
+
+@given(workers=st.integers(1, 4), steps=_POOL_STEPS)
+@settings(max_examples=150, deadline=None)
+def test_folded_books_equal_an_eager_reference(workers, steps):
+    pool, reference = WorkerPool(workers), _EagerPool(workers)
+    arrival = 0
+    for kind, amount, block_ops in steps:
+        if kind == "job":
+            arrival += amount
+            assert pool.schedule(arrival, block_ops) == \
+                reference.schedule(arrival, block_ops)
+        else:
+            now = max(0, arrival + amount)
+            assert pool.queue_depth(now) == reference.queue_depth(now)
+            assert pool.utilization_pct() == reference.utilization_pct()
+    assert pool.stats() == reference.stats()
+    assert (pool.jobs, pool.queue_wait_us, pool.max_queue_wait_us) == (
+        reference.jobs, reference.queue_wait_us,
+        reference.max_queue_wait_us)
+
+
+def test_unread_pool_folds_its_samples_as_it_goes():
+    """Engine testbed pools and scaling-curve cells are never sampled
+    while they run: their pending samples must stay bounded, and the
+    derived counters exact."""
+    pool, reference = WorkerPool(2), _EagerPool(2)
+    rng = DeterministicRandom(20)
+    arrival = 0
+    for _ in range(3 * FOLD_THRESHOLD + 17):
+        arrival += rng.randint(0, 90)
+        block_ops = rng.randint(0, 80)
+        assert pool.schedule(arrival, block_ops) == \
+            reference.schedule(arrival, block_ops)
+        assert len(pool._waits) < FOLD_THRESHOLD
+        assert len(pool._services) < FOLD_THRESHOLD
+    assert pool.jobs == reference.jobs == 3 * FOLD_THRESHOLD + 17
+    assert pool.queue_wait_us == reference.queue_wait_us > 0
+    assert pool.max_queue_wait_us == reference.max_queue_wait_us
+    assert pool.stats() == reference.stats()
 
 
 # -- HostClock.wait -----------------------------------------------------
