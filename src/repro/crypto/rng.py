@@ -31,7 +31,17 @@ class DeterministicRandom:
         self._random = random.Random(seed)
 
     def random_bytes(self, length: int) -> bytes:
-        return bytes(self._random.getrandbits(8) for _ in range(length))
+        """*length* bytes, each the top byte of one 32-bit Mersenne
+        Twister word: the stream ``getrandbits(8)`` per byte gives.
+
+        One ``getrandbits(32 * length)`` call draws the same words, the
+        first in the lowest 32 bits, so byte ``4*i + 3`` of its
+        little-endian form is word ``i``'s top byte.
+        """
+        if length <= 0:
+            return b""
+        words = self._random.getrandbits(32 * length)
+        return words.to_bytes(4 * length, "little")[3::4]
 
     def random_key(self) -> bytes:
         """An 8-byte DES key with odd parity, never weak or semi-weak."""

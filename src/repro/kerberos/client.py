@@ -557,8 +557,11 @@ class KerberosClient:
         # One root span per logical call: each wire attempt becomes a
         # sibling child inside it, so a retried or failed-over exchange
         # is still a single rooted trace (no orphan spans).
-        with tracer.span(f"rpc/{endpoint.service}", client=self.host.address):
+        span = tracer.begin(f"rpc/{endpoint.service}", client=self.host.address)
+        try:
             return self._rpc_attempts(endpoint, request)
+        finally:
+            tracer.end(span)
 
     def _wire_rpc(self, endpoint: Endpoint, request: bytes,
                   attempt: int) -> bytes:

@@ -27,7 +27,6 @@ constructed while a capture is open auto-subscribes them.  This is how
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from repro.obs.events import Event
@@ -93,23 +92,43 @@ class EventBus:
         """Stamp correlation fields and fan out to every sink.
 
         Callers guard with ``if bus.active`` so this only runs (and the
-        event is only constructed) when someone is listening.
+        event is only constructed) when someone is listening.  A field
+        is stamped only while it is 0: ``time`` from the bus's clock,
+        ``seq`` from the open exchange, ``trace_id``/``span_id`` from
+        the tracer's innermost open span.  Sinks then receive a stamped
+        copy (the caller's event is frozen and stays as it was); an
+        event that needs no stamp is passed on as the same object.
         """
         if not self.active:
             return
-        stamp = {}
-        if not event.time and self._clock is not None:
-            stamp["time"] = self._clock.now()
-        if not event.seq and self._exchange:
-            stamp["seq"] = self._exchange[-1]
+        stamp = False
+        time = event.time
+        if not time and self._clock is not None:
+            time = self._clock.now()
+            stamp = True
+        seq = event.seq
+        if not seq and self._exchange:
+            seq = self._exchange[-1]
+            stamp = True
+        trace_id = event.trace_id
+        span_id = event.span_id
         tracer = self.tracer
-        if tracer is not None and not event.trace_id:
-            trace_id, span_id = tracer.current_ids()
-            if trace_id:
-                stamp["trace_id"] = trace_id
-                stamp["span_id"] = span_id
+        if tracer is not None and not trace_id:
+            open_trace, open_span = tracer.current_ids()
+            if open_trace:
+                trace_id, span_id = open_trace, open_span
+                stamp = True
         if stamp:
-            event = replace(event, **stamp)
+            # What dataclasses.replace would build, without re-running
+            # the frozen __init__: one copy of the field dict with the
+            # four correlation fields set, installed on a bare instance.
+            fields = event.__dict__.copy()
+            fields["time"] = time
+            fields["seq"] = seq
+            fields["trace_id"] = trace_id
+            fields["span_id"] = span_id
+            event = object.__new__(type(event))
+            object.__setattr__(event, "__dict__", fields)
         for sink in self._sinks:
             sink(event)
 

@@ -21,7 +21,7 @@ mapping; subscribe one to a bus and the registry fills itself:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.events import (
     ClockSkewReject, DecryptFailure, Event, ExchangeComplete,
@@ -52,8 +52,13 @@ class Counter:
         self._values: Dict[Labels, int] = {}
 
     def inc(self, amount: int = 1, **labels) -> None:
-        key = _labels(labels)
-        self._values[key] = self._values.get(key, 0) + amount
+        self.add(_labels(labels), amount)
+
+    def add(self, key: Labels, amount: int = 1) -> None:
+        """Count *amount* under *key*, a label set already in the form
+        :meth:`inc` builds: ``(name, str(value))`` pairs sorted by name."""
+        values = self._values
+        values[key] = values.get(key, 0) + amount
 
     def value(self, **labels) -> int:
         """The count for one label set, or the total with no labels given."""
@@ -130,44 +135,92 @@ class MetricsRegistry:
         return "\n\n".join(blocks)
 
 
+# The standard mapping, one handler per event kind that MetricsSink
+# counts.  Each handler builds its counter's label key itself, in the
+# sorted order Counter.inc would give it, and fetches its counter and
+# histogram from the registry on every call, so a kind that never fires
+# creates neither.
+
+
+def _count_by_service(name: str) -> Callable[[MetricsRegistry, Any], None]:
+    def handler(registry: MetricsRegistry, event: Any) -> None:
+        registry.counter(name).add((("service", str(event.service)),))
+    return handler
+
+
+def _wire_crossing(registry: MetricsRegistry, event: WireCrossing) -> None:
+    registry.counter("wire_messages").add(
+        (("direction", str(event.direction)),)
+    )
+    registry.histogram("wire_bytes").record(event.size)
+
+
+def _exchange_complete(registry: MetricsRegistry, event: ExchangeComplete) -> None:
+    registry.histogram("exchange_latency_us").record(event.duration)
+    registry.counter("exchanges").add((("service", str(event.service)),))
+
+
+def _ticket_issued(registry: MetricsRegistry, event: TicketIssued) -> None:
+    registry.counter("tickets_issued").add(
+        (("exchange", str(event.exchange)), ("realm", str(event.realm)))
+    )
+
+
+def _preauth_failure(registry: MetricsRegistry, event: PreauthFailure) -> None:
+    registry.counter("preauth_failures").add((("realm", str(event.realm)),))
+
+
+def _policy_reject(registry: MetricsRegistry, event: PolicyReject) -> None:
+    registry.counter("policy_rejects").add(
+        (("reason", str(event.reason)), ("service", str(event.service)))
+    )
+
+
+def _login_attempt(registry: MetricsRegistry, event: LoginAttempt) -> None:
+    registry.counter("login_attempts").add((("ok", str(event.ok)),))
+
+
+def _shard_unavailable(registry: MetricsRegistry, event: ShardUnavailable) -> None:
+    registry.counter("shard_unavailable").add(
+        (("service", str(event.service)), ("shard", str(event.shard)))
+    )
+
+
+def _request_retried(registry: MetricsRegistry, event: RequestRetried) -> None:
+    registry.counter("request_retries").add(
+        (("service", str(event.service)),)
+    )
+    registry.histogram("retry_backoff_us").record(event.backoff_us)
+
+
+_HANDLERS: Dict[type, Callable[[MetricsRegistry, Any], None]] = {
+    WireCrossing: _wire_crossing,
+    ExchangeComplete: _exchange_complete,
+    TicketIssued: _ticket_issued,
+    DecryptFailure: _count_by_service("decrypt_failures"),
+    ReplayCacheHit: _count_by_service("replay_cache_hits"),
+    ClockSkewReject: _count_by_service("clock_skew_rejects"),
+    PreauthFailure: _preauth_failure,
+    PolicyReject: _policy_reject,
+    LoginAttempt: _login_attempt,
+    SessionEstablished: _count_by_service("sessions_established"),
+    ShardUnavailable: _shard_unavailable,
+    RequestRetried: _request_retried,
+}
+
+
 class MetricsSink:
-    """The standard event-to-metric mapping; subscribe to a bus."""
+    """The standard event-to-metric mapping; subscribe to a bus.
+
+    Events are dispatched on their exact type; a kind with no handler
+    (a bare :class:`Event`, a :class:`repro.obs.events.LintFinding`) is
+    ignored.
+    """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry if registry is not None else MetricsRegistry()
 
     def __call__(self, event: Event) -> None:
-        registry = self.registry
-        if isinstance(event, WireCrossing):
-            registry.counter("wire_messages").inc(direction=event.direction)
-            registry.histogram("wire_bytes").record(event.size)
-        elif isinstance(event, ExchangeComplete):
-            registry.histogram("exchange_latency_us").record(event.duration)
-            registry.counter("exchanges").inc(service=event.service)
-        elif isinstance(event, TicketIssued):
-            registry.counter("tickets_issued").inc(
-                realm=event.realm, exchange=event.exchange
-            )
-        elif isinstance(event, DecryptFailure):
-            registry.counter("decrypt_failures").inc(service=event.service)
-        elif isinstance(event, ReplayCacheHit):
-            registry.counter("replay_cache_hits").inc(service=event.service)
-        elif isinstance(event, ClockSkewReject):
-            registry.counter("clock_skew_rejects").inc(service=event.service)
-        elif isinstance(event, PreauthFailure):
-            registry.counter("preauth_failures").inc(realm=event.realm)
-        elif isinstance(event, PolicyReject):
-            registry.counter("policy_rejects").inc(
-                service=event.service, reason=event.reason
-            )
-        elif isinstance(event, LoginAttempt):
-            registry.counter("login_attempts").inc(ok=event.ok)
-        elif isinstance(event, SessionEstablished):
-            registry.counter("sessions_established").inc(service=event.service)
-        elif isinstance(event, ShardUnavailable):
-            registry.counter("shard_unavailable").inc(
-                service=event.service, shard=event.shard
-            )
-        elif isinstance(event, RequestRetried):
-            registry.counter("request_retries").inc(service=event.service)
-            registry.histogram("retry_backoff_us").record(event.backoff_us)
+        handler = _HANDLERS.get(type(event))
+        if handler is not None:
+            handler(self.registry, event)

@@ -104,46 +104,47 @@ class Tracer:
         if self._clock is None:
             self._clock = clock
 
-    def _now(self) -> int:
-        if self._clock is None:
-            raise RuntimeError("tracer has no clock bound")
-        return self._clock.now()
-
     # -- span lifecycle --------------------------------------------------
 
     def begin(self, name: str, **attrs: Any) -> Span:
         """Open a span as a child of the current one (or a new root)."""
-        if not self._stack:
+        clock = self._clock
+        if clock is None:
+            raise RuntimeError("tracer has no clock bound")
+        stack = self._stack
+        if not stack:
             self.trace_count += 1
             self._sampled = (self.trace_count - 1) % self.sample_every == 0
             trace_id, parent_id = self.trace_count, 0
         else:
-            top = self._stack[-1]
+            top = stack[-1]
             trace_id, parent_id = top.trace_id, top.span_id
         self._next_span += 1
         span = Span(
             trace_id=trace_id, span_id=self._next_span,
-            parent_id=parent_id, name=name, begin=self._now(), attrs=attrs,
+            parent_id=parent_id, name=name, begin=clock.now(), attrs=attrs,
         )
-        self._stack.append(span)
+        stack.append(span)
         return span
 
     def end(self, span: Span, **attrs: Any) -> Span:
         """Close *span* (which must be the innermost open span)."""
-        if not self._stack or self._stack[-1] is not span:
+        stack = self._stack
+        if not stack or stack[-1] is not span:
             raise RuntimeError(
                 f"span {span.name!r} is not the innermost open span"
             )
-        self._stack.pop()
-        if not span.end:
-            span.end = self._now()
+        stack.pop()
+        if not span.end:  # begin() saw a clock, and a bound one stays
+            span.end = self._clock.now()
         if attrs:
             span.attrs.update(attrs)
-        self._pending.append(span)
-        if not self._stack:  # trace finished: retain or discard
+        pending = self._pending
+        pending.append(span)
+        if not stack:  # trace finished: retain or discard
             if self._sampled:
-                self.spans.extend(self._pending)
-            self._pending.clear()
+                self.spans.extend(pending)
+            pending.clear()
         return span
 
     @contextmanager

@@ -112,13 +112,16 @@ class TracedReplayCache(LruReplayCache):
             return super().check_and_store(
                 client, timestamp, fingerprint, now, horizon
             )
-        with tracer.span("replay-cache/check", client=client) as span:
+        span = tracer.begin("replay-cache/check", client=client)
+        try:
             fresh = super().check_and_store(
                 client, timestamp, fingerprint, now, horizon
             )
             span.attrs.update(
                 fresh=fresh, entries=len(self), evictions=self.evictions,
             )
+        finally:
+            tracer.end(span)
         return fresh
 
 

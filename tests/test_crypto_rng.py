@@ -1,5 +1,7 @@
 """Deterministic randomness invariants."""
 
+import random
+
 from repro.crypto.des import has_odd_parity, is_weak_key
 from repro.crypto.rng import DeterministicRandom
 
@@ -55,3 +57,19 @@ def test_choice_and_shuffle():
     shuffled = list(items)
     rng.shuffle(shuffled)
     assert sorted(shuffled) == items
+
+
+def test_random_bytes_is_one_getrandbits8_per_byte():
+    # random_bytes draws all its bytes in one getrandbits call; the
+    # stream must stay the per-byte getrandbits(8) one, interleaved
+    # with the other draws exactly as before.
+    for seed in range(5):
+        rng = DeterministicRandom(seed)
+        reference = random.Random(seed)
+        for n in range(65):
+            expected = bytes(reference.getrandbits(8) for _ in range(n))
+            assert rng.random_bytes(n) == expected
+            assert rng.random_uint32() == reference.getrandbits(32)
+            assert rng.randint(0, n) == reference.randint(0, n)
+        assert rng.random_bytes(-3) == b""
+        assert rng.random_uint32() == reference.getrandbits(32)
