@@ -7,13 +7,14 @@ latency percentile cannot:
 
 * which shard was hot, and was the time queueing or crypto?
 * what did the cluster look like tick by tick as the outage hit?
-* for the slowest request of the whole run — where exactly did its
-  microseconds go, hop by hop, retry by retry?
+* for a login the outage refused — what happened to it, hop by hop,
+  and how did its retry get through?
 
-Every request is one causal trace: client rpc -> per-retry attempt ->
-frontend -> shard -> worker -> replay-cache check.  A shard outage
-does not break the chain — failed attempts stay in the same tree as
-the retry that finally lands.
+Every client call is one causal trace: client rpc -> frontend ->
+shard -> worker -> replay-cache check.  A shard outage does not break
+the chain: the refused call is a complete trace that ends in the
+frontend's ``unavailable``, and the retry, made after a backoff on the
+scheduler, is a trace of its own.
 
 Run:  python examples/cluster_tracing.py
 """
@@ -28,20 +29,31 @@ def main() -> None:
     print(render_monitor(report, show_tree_for=0))
     print()
 
-    # Find a request that lived through the outage: its trace holds
-    # several wire attempts -- the failed ones and the one that landed.
-    tracer = report["_tracer"]
-    retried = {
-        trace_id: spans for trace_id, spans in tracer.traces().items()
-        if sum(s.name.startswith("attempt/") for s in spans) > 1
-    }
-    trace_id, spans = min(retried.items())
-    attempts = sum(s.name.startswith("attempt/") for s in spans)
-    print(f"== anatomy of a retried request (trace {trace_id}) ==")
-    print(f"{attempts} wire attempts, {len(spans)} spans, "
-          f"{max(s.end for s in spans) - min(s.begin for s in spans):,}us "
-          "end to end:")
-    print("\n".join(render_trace_tree(spans)))
+    # Find a login that lived through the outage: from one workstation,
+    # AS calls the downed shard refused, then the retry that landed.
+    as_calls = {}
+    for spans in report["_tracer"].traces().values():
+        root = next(s for s in spans if s.parent_id == 0)
+        if root.name == "rpc/kerberos":
+            as_calls.setdefault(root.attrs["client"], []).append(spans)
+
+    def refused(spans):
+        return any("error" in s.attrs for s in spans)
+
+    client, calls = next(
+        (client, calls) for client, calls in as_calls.items()
+        if refused(calls[0]) and not refused(calls[-1])
+    )
+    first, served = calls[0], calls[-1]
+    gap = served[0].begin - first[0].end
+    print(f"== anatomy of a rescued login (workstation {client}) ==")
+    print(f"{len(calls)} AS calls, each its own trace, with a backoff on "
+          f"the scheduler before each retry; the first "
+          f"(trace {first[0].trace_id}) was refused:")
+    print("\n".join(render_trace_tree(first)))
+    print(f"the last (trace {served[0].trace_id}), begun {gap:,}us after "
+          "the first ended, was served:")
+    print("\n".join(render_trace_tree(served)))
     print()
 
     problems = report["traces"]["problems"]

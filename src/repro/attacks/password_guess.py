@@ -64,10 +64,6 @@ class GuessingResult:
     attempts: int = 0
     material_count: int = 0
 
-    @property
-    def crack_rate(self) -> float:
-        return len(self.cracked) / self.material_count if self.material_count else 0.0
-
 
 def _extract_as_material(
     config: ProtocolConfig, replies: Iterable[WireMessage]

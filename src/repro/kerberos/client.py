@@ -26,7 +26,7 @@ variant.  The notable design points, each traceable to the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.crypto import checksum as ck
 from repro.crypto.checksum import ChecksumType
@@ -41,7 +41,7 @@ from repro.kerberos.config import ProtocolConfig
 from repro.kerberos.kdc import AS_SERVICE, TGS_SERVICE, tgs_request_checksum_input
 from repro.kerberos.messages import (
     AP_REP_ENC, AP_REQ, AS_REP, AS_REQ, CHALLENGE_ENC, KDC_REP_ENC,
-    TGS_REP, TGS_REQ, ERR_METHOD, ERR_UNAVAILABLE, SealError,
+    TGS_REP, TGS_REQ, ERR_METHOD, SealError,
     decode_error, unframe,
 )
 from repro.kerberos.principal import Principal
@@ -53,14 +53,12 @@ from repro.kerberos.tickets import (
     FLAG_FORWARDABLE, OPT_CR_RESPONSE, OPT_MUTUAL_AUTH,
     Authenticator,
 )
-from repro.obs.events import RequestRetried
-from repro.sim.clock import MILLISECOND, SECOND
 from repro.sim.host import Host, StorageKind
 from repro.sim.network import Endpoint, NetworkError
 
 __all__ = [
-    "KerberosError", "RetryPolicy", "PasswordSecret", "HandheldSecret",
-    "ClientSession", "KerberosClient",
+    "KerberosError", "PasswordSecret", "HandheldSecret", "ClientSession",
+    "KerberosClient",
 ]
 
 
@@ -71,36 +69,6 @@ class KerberosError(RuntimeError):
         super().__init__(f"kerberos error {code}: {text}")
         self.code = code
         self.text = text
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Client resilience against a degraded KDC service layer.
-
-    The base protocol has no retransmission story at all — a lost
-    message is an exception, which is faithful to the paper's
-    single-KDC world but useless against a deployment where a shard can
-    be down (:mod:`repro.serve`).  A client with a policy attached
-    treats a vanished reply (the simulation's timeout) or an explicit
-    ``ERR_UNAVAILABLE`` degradation as retryable: it backs off
-    exponentially with deterministic jitter (so a thundering herd of
-    retries from K simulated clients de-synchronises) and gives up
-    after ``max_retries``, surfacing the last failure unchanged.
-    """
-
-    max_retries: int = 3
-    backoff_base: int = 50 * MILLISECOND   # first backoff, µs
-    backoff_cap: int = 2 * SECOND          # ceiling per wait, µs
-    jitter: float = 0.5                    # fraction of each wait randomised
-    retry_codes: Tuple[int, ...] = (ERR_UNAVAILABLE,)
-
-    def backoff_us(self, attempt: int, rng: DeterministicRandom) -> int:
-        """Backoff before retry *attempt* (0-based), jittered."""
-        base = min(self.backoff_cap, self.backoff_base << attempt)
-        if self.jitter <= 0:
-            return base
-        spread = int(base * self.jitter)
-        return base - spread + rng.randint(0, 2 * spread)
 
 
 class PasswordSecret:
@@ -222,12 +190,8 @@ class KerberosClient:
         self.directory = directory
         self.rng = rng
         self.ccache = CredentialCache(host, user.name, cache_kind)
-        # Optional resilience against a degraded service layer; None
-        # keeps the paper's original fail-fast behaviour.
-        self.retry_policy: Optional[RetryPolicy] = None
         # Diagnostics for the overhead benchmark.
         self.messages_exchanged = 0
-        self.retries = 0
 
     # ------------------------------------------------------------------ #
     # AS exchange (kinit)
@@ -551,73 +515,24 @@ class KerberosClient:
         return self._raw_rpc(Endpoint(address, service), request)
 
     def _raw_rpc(self, endpoint: Endpoint, request: bytes) -> bytes:
-        tracer = self.host.network.bus.tracer
+        """One request and its reply; a lost message raises
+        :class:`NetworkError`.  The client never retries: the paper's
+        single-KDC world has no retransmission story, and the load
+        harness (:mod:`repro.load`) retries whole phases itself."""
+        self.messages_exchanged += 2
+        network = self.host.network
+        tracer = network.bus.tracer
         if tracer is None:
-            return self._rpc_attempts(endpoint, request)
-        # One root span per logical call: each wire attempt becomes a
-        # sibling child inside it, so a retried or failed-over exchange
-        # is still a single rooted trace (no orphan spans).
+            return network.rpc(self.host.address, endpoint, request)
+        # One root span per call: the frontend's spans nest under it.
         span = tracer.begin(f"rpc/{endpoint.service}", client=self.host.address)
         try:
-            return self._rpc_attempts(endpoint, request)
+            return network.rpc(self.host.address, endpoint, request)
+        except NetworkError as exc:
+            span.attrs["error"] = str(exc)
+            raise
         finally:
             tracer.end(span)
-
-    def _wire_rpc(self, endpoint: Endpoint, request: bytes,
-                  attempt: int) -> bytes:
-        """One wire attempt, wrapped in an ``attempt`` span when traced."""
-        self.messages_exchanged += 2
-        tracer = self.host.network.bus.tracer
-        if tracer is None:
-            return self.host.network.rpc(self.host.address, endpoint, request)
-        span = tracer.begin(f"attempt/{endpoint.service}", attempt=attempt)
-        try:
-            reply = self.host.network.rpc(self.host.address, endpoint, request)
-        except NetworkError as exc:
-            tracer.end(span, error=str(exc))
-            raise
-        tracer.end(span)
-        return reply
-
-    def _rpc_attempts(self, endpoint: Endpoint, request: bytes) -> bytes:
-        policy = self.retry_policy
-        if policy is None:
-            return self._wire_rpc(endpoint, request, 0)
-
-        attempt = 0
-        while True:
-            failure: Optional[NetworkError] = None
-            reply = b""
-            try:
-                reply = self._wire_rpc(endpoint, request, attempt)
-            except NetworkError as exc:
-                # The simulation's timeout: the request (or its reply)
-                # never arrived.
-                failure = exc
-            if failure is None:
-                is_error, body = unframe(self.config, reply)
-                if not is_error:
-                    return reply
-                error = decode_error(self.config, body)
-                if error["code"] not in policy.retry_codes:
-                    return reply
-                detail = f"error {error['code']}: {error['text']}"
-            else:
-                detail = str(failure)
-            if attempt >= policy.max_retries:
-                if failure is not None:
-                    raise failure
-                return reply  # caller surfaces the KRB_ERROR as usual
-            backoff = policy.backoff_us(attempt, self.rng)
-            attempt += 1
-            self.retries += 1
-            bus = self.host.network.bus
-            if bus.active:
-                bus.emit(RequestRetried(
-                    service=endpoint.service, attempt=attempt,
-                    backoff_us=backoff, detail=detail,
-                ))
-            self.host.clock.wait(backoff)
 
     def _decode_reply(self, schema, reply: bytes) -> Dict:
         config = self.config

@@ -56,16 +56,12 @@ class LoginProgram:
         directory: RealmDirectory,
         rng: DeterministicRandom,
         cache_kind: StorageKind = StorageKind.LOCAL_DISK,
-        retry_policy=None,
     ):
         self.host = host
         self.config = config
         self.directory = directory
         self.rng = rng
         self.cache_kind = cache_kind
-        # Optional RetryPolicy handed to the client; lets a login ride
-        # out a degraded KDC service layer (repro.serve) with backoff.
-        self.retry_policy = retry_policy
 
     def login(
         self,
@@ -74,18 +70,20 @@ class LoginProgram:
         forwardable: bool = False,
     ) -> LoginOutcome:
         """*typed_input* is the password string, or the user's handheld
-        device when the deployment uses recommendation (c)."""
+        device when the deployment uses recommendation (c).  A failed
+        login logs the user out again, so the workstation is free for
+        the next attempt."""
         secret = self._collect(typed_input)
         self.host.login(user.name)
         client = KerberosClient(
             self.host, user, self.config, self.directory, self.rng,
             cache_kind=self.cache_kind,
         )
-        client.retry_policy = self.retry_policy
         bus = self.host.network.bus
         try:
             credentials = client.kinit(secret, forwardable=forwardable)
         except Exception:
+            self.host.logout(user.name)
             if bus.active:
                 bus.emit(LoginAttempt(
                     user=user.name, realm=user.realm,

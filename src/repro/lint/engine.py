@@ -492,13 +492,6 @@ class CodeModel:
         """
         return frozenset(r.function for r in self.secret_returns)
 
-    def crypto_flows_into(self, *callees: str) -> List[CryptoFlow]:
-        wanted = set(callees)
-        return sorted(
-            (f for f in self.crypto_flows if f.callee in wanted),
-            key=lambda f: (f.file, f.line),
-        )
-
     def files_calling(self, *callees: str) -> FrozenSet[str]:
         """Files with at least one call to any of *callees*."""
         wanted = set(callees)

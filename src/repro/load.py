@@ -28,8 +28,9 @@ Two modes, one report (``repro-bench-kdc/3``).  Both serve from the
 same :class:`repro.serve.cluster.Shard` (a worker pool plus its replay
 cache) through the one dispatch loop
 :meth:`repro.serve.cluster.Frontend.dispatch`, which routes, fails over
-and counts every request; back off by the same :data:`RETRY_POLICY`;
-run their units, fault timers and replay probe through the one driver
+and counts every request; retry a refused request through the one
+:class:`RetryLoop`, which backs off on the scheduler; run their units,
+fault timers and replay probe through the one driver
 :func:`run_units`; and hand a :class:`LoadRun` to the one gauge set
 and the one report builder below.  Each mode brings only what differs:
 how one try is served on one shard, how a unit runs its three phases,
@@ -59,14 +60,19 @@ import platform
 import time
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Sequence, TypeVar,
+    Any, Callable, Dict, Generator, Iterator, List, Optional, Sequence,
+    TypeVar,
 )
 
-from repro.kerberos.client import KerberosError, RetryPolicy
+from repro.crypto.rng import DeterministicRandom
+from repro.kerberos.client import KerberosError
 from repro.kerberos.config import ProtocolConfig
+from repro.kerberos.kdc import AS_SERVICE, TGS_SERVICE
 from repro.kerberos.messages import (
     ERR_REPLAY, ERR_UNAVAILABLE, decode_error, unframe,
 )
+from repro.obs.bus import EventBus
+from repro.obs.events import RequestRetried
 from repro.obs.metrics import MetricsRegistry, MetricsSink
 from repro.obs.timeseries import FOLD_THRESHOLD, LogHistogram, TickSampler
 from repro.obs.trace import Tracer
@@ -78,14 +84,17 @@ from repro.sim.sched import Scheduler, wait
 from repro.sim.workload import DiurnalCurve, open_loop_arrivals
 from repro.testbed import Testbed
 
-__all__ = ["run_load", "render_report", "run_units", "LoadInputError",
-           "LoadRun"]
+__all__ = ["run_load", "render_report", "run_units", "backoff_us",
+           "RetryLoop", "LoadInputError", "LoadRun"]
 
 #: Mean time between unit arrivals on the open-loop calendar.  A unit
-#: costs ~5.3ms of simulated wire time (21 transits at 250us), so 6ms
-#: puts the baseline just above the critical load point: the cluster
-#: mostly keeps up, and queueing shows in the tail rather than as an
-#: unbounded backlog.  Lower it (``--interarrival``) to saturate.
+#: costs ~3.0ms of simulated wire time (12 transits at 250us:
+#: calibration measures 1,000us for each of its AS, TGS and AP phases)
+#: and ~3.4ms with its service time, while its two KDC requests keep a
+#: worker busy for under 0.4ms.  So at 6ms the default 3x2 cluster runs
+#: at ~1% utilization with no queue wait: the baseline shows latency
+#: floors and what the outage costs.  Lower it (``--interarrival``; 60
+#: saturates) to see queueing.
 DEFAULT_INTERARRIVAL_US = 6 * MILLISECOND
 
 #: How many recorded TGS requests the replay probe re-injects.
@@ -94,9 +103,13 @@ REPLAY_PROBES = 5
 #: Engine-mode unit count when ``requests`` is not given.
 DEFAULT_REQUESTS = 240
 
-#: Client backoff in both modes: engine clients carry it, and the
-#: scale model's requests retry by it.
-RETRY_POLICY = RetryPolicy(max_retries=2, backoff_base=20 * MILLISECOND)
+#: Client retries in both modes (:class:`RetryLoop`): a refused request
+#: is retried at most MAX_RETRIES times.  The wait before retry *n*
+#: (0-based) is BACKOFF_BASE_US doubled *n* times, capped at
+#: BACKOFF_CAP_US, then jittered by up to half either way.
+MAX_RETRIES = 2
+BACKOFF_BASE_US = 20 * MILLISECOND
+BACKOFF_CAP_US = 2 * SECOND
 
 #: A unit's phases, in the order its ``marks`` end them.
 PHASES = ("as", "tgs", "ap")
@@ -105,6 +118,7 @@ PHASES = ("as", "tgs", "ap")
 #: :func:`run_units`.
 Finish = Callable[[List[int], Optional[str]], None]
 Recording = TypeVar("Recording")
+Result = TypeVar("Result")
 
 
 class LoadInputError(ValueError):
@@ -128,6 +142,63 @@ class LoadRun:
     probe: Dict[str, int]
     metrics: Dict[str, Any] = field(default_factory=dict)
     scaling_curve: Optional[Dict[str, Any]] = None
+
+
+def backoff_us(attempt: int, rng: DeterministicRandom) -> int:
+    """The wait before retry *attempt* (0-based), in microseconds.  The
+    jitter comes from *rng*, so clients refused together come back
+    spread out, and one seed always gives the same waits."""
+    base = min(BACKOFF_CAP_US, BACKOFF_BASE_US << attempt)
+    spread = base // 2
+    return base - spread + rng.randint(0, 2 * spread)
+
+
+class RetryLoop:
+    """The one retry loop of both modes, and the one count of its
+    retries, which ``degradation.client_retries`` and the
+    ``cluster.client_retries`` gauge read."""
+
+    def __init__(self, rng: DeterministicRandom,
+                 bus: Optional[EventBus] = None) -> None:
+        self.rng = rng
+        self.bus = bus
+        self.retries = 0
+
+    def __call__(
+        self, service: str, request: Callable[[], Result],
+    ) -> Generator[Any, None, Result]:
+        """Make *request* to *service* (use via ``yield from``; returns
+        its result).
+
+        A request refused with a framed ``ERR_UNAVAILABLE`` (raised as
+        :class:`KerberosError`) or lost on the wire
+        (:class:`NetworkError`) is made again after a
+        :func:`backoff_us` wait on the scheduler, so a shard restored
+        during the wait serves the retry.  Out of retries, the last
+        refusal propagates; any other error propagates at once.  A
+        request that succeeds first time costs no scheduler event.
+        Each retry emits :class:`RequestRetried` on *bus*, if given.
+        """
+        attempt = 0
+        while True:
+            try:
+                return request()
+            except (KerberosError, NetworkError) as exc:
+                if attempt == MAX_RETRIES or (
+                        isinstance(exc, KerberosError)
+                        and exc.code != ERR_UNAVAILABLE):
+                    raise
+                detail = str(exc)
+            backoff = backoff_us(attempt, self.rng)
+            attempt += 1
+            self.retries += 1
+            bus = self.bus
+            if bus is not None and bus.active:
+                bus.emit(RequestRetried(
+                    service=service, attempt=attempt, backoff_us=backoff,
+                    detail=detail,
+                ))
+            yield wait(backoff)
 
 
 def fault_window(faults: bool, requests: int,
@@ -287,10 +358,11 @@ def run_load(
     """Drive the sharded KDC and return (optionally write) the report.
 
     ``quick`` shrinks the run to CI-smoke size.  ``faults`` downs one
-    shard for the middle third of the calendar; clients ride it out
-    with bounded jittered retries, TGS traffic fails over, and AS
-    requests for users homed on the dead shard degrade to
-    ``ERR_UNAVAILABLE`` — all of which the report itemises.
+    shard for the middle third of the calendar; TGS traffic fails over,
+    AS requests for users homed on the dead shard are refused with
+    ``ERR_UNAVAILABLE``, and units retry refused requests with bounded
+    jittered backoff (:class:`RetryLoop`) — all of which the report
+    itemises.
 
     ``principals`` switches to scale mode: N principals, keyed only
     for those the run names (in one batch per call), with Zipfian
@@ -468,10 +540,6 @@ def _run_engine(
     cluster = bed.realm.cluster
     assert cluster is not None
     sched = Scheduler(bed.clock)
-    sampler = cluster_sampler(
-        bed.clock, cluster,
-        lambda: registry.counter("request_retries").value(), interarrival_us,
-    )
 
     # Open-loop arrival calendar, fixed before any traffic flows.
     calendar_rng = bed.rng.fork("load:arrivals")
@@ -482,32 +550,39 @@ def _run_engine(
     arrivals: List[int] = list(open_loop_arrivals(
         calendar_rng, requests, interarrival_us, diurnal=curve, start=first,
     ))
+    retry = RetryLoop(calendar_rng.fork("backoff"), bed.bus)
+    sampler = cluster_sampler(bed.clock, cluster, lambda: retry.retries,
+                              interarrival_us)
 
     frontend = cluster.frontend_host.address
 
     def unit(op: int, intended: int, finish: Finish) -> Iterator[Any]:
-        """One workload unit: AS, then TGS, then AP, yielding between
-        phases so each phase's requests enter the worker pools in
-        global virtual-time order.  Worker-pool queueing stalls the
-        serving events themselves, so it is already inside the clock."""
+        """One workload unit: AS, then TGS, each through the retry
+        loop, then AP, yielding between phases so each phase's requests
+        enter the worker pools in global virtual-time order.
+        Worker-pool queueing stalls the serving events themselves, so
+        it is already inside the clock."""
         sampler.poll()
         user = op % clients
+        name, password = f"user{user}", f"pw-{user}"
         workstation = bed.add_workstation(f"lws{op}")
         marks = [intended]
         error: Optional[str] = None
         try:
-            outcome = bed.login(
-                f"user{user}", f"pw-{user}", workstation,
-                retry_policy=RETRY_POLICY,
+            outcome = yield from retry(
+                AS_SERVICE, lambda: bed.login(name, password, workstation),
             )
             marks.append(bed.clock.now())
             yield wait(0)
 
-            cred = outcome.client.get_service_ticket(mail.principal)
+            client = outcome.client
+            cred = yield from retry(
+                TGS_SERVICE, lambda: client.get_service_ticket(mail.principal),
+            )
             marks.append(bed.clock.now())
             yield wait(0)
 
-            session = outcome.client.ap_exchange(cred, bed.endpoint(mail))
+            session = client.ap_exchange(cred, bed.endpoint(mail))
             session.call(b"COUNT")
             marks.append(bed.clock.now())
         except KerberosError as err:
@@ -552,10 +627,7 @@ def _run_engine(
             "zipf_s": None,
             "diurnal": bool(diurnal),
         },
-        # From the bus-fed registry: retries by clients the harness
-        # never got back (failed logins) are still counted.
-        client_retries=registry.counter("request_retries").value(),
-        metrics=registry.snapshot(), **driven,
+        client_retries=retry.retries, metrics=registry.snapshot(), **driven,
     )
 
 

@@ -16,7 +16,7 @@ renders saturation end-to-end:
   attributes, so a slow unit is attributable at a glance;
 * a structural check over every finished trace
   (:func:`repro.obs.trace.validate_traces`): one root per trace, no
-  orphan spans across failover and retries.
+  orphan spans across failover (a retry is a trace of its own).
 
 ``--emit-chrome-trace PATH`` additionally exports the span forest as
 Chrome trace-event JSON — loadable in Perfetto or ``chrome://tracing``,
@@ -50,7 +50,7 @@ def trace_breakdown(spans: Sequence[Span]) -> Dict[str, int]:
 
     ``queue_wait``/``crypto``/``dispatch`` come from the virtual
     worker-pool model; ``wire_other`` is whatever of the root span's
-    duration they do not explain (propagation, backoff, retries).
+    duration they do not explain (propagation, failed shard hops).
     """
     total = queue = crypto = dispatch = service = 0
     for span in spans:

@@ -51,7 +51,7 @@ def trace_digests(events: Sequence[Event]) -> Dict[int, Dict[str, int]]:
     :class:`repro.obs.trace.Tracer` was attached during the run, every
     anomalous event is stamped with the trace open when it fired, so
     this maps trace id → ``{kind: count}`` — the exact requests (client
-    retries, shard hops, adversary injections) an attack perturbed.
+    calls, shard hops, adversary injections) an attack perturbed.
     Events with no trace context (``trace_id == 0``) are excluded; use
     :func:`detectability_digest` for the untraced total.
     """
@@ -152,7 +152,3 @@ class AuditTrail:
 
     def correlation(self, wire_log: Sequence) -> WireCorrelation:
         return correlate_with_wire_log(self.events, wire_log)
-
-    def detach(self) -> None:
-        self.bus.unsubscribe(self.collector)
-        self.bus.unsubscribe(self._metrics_sink)

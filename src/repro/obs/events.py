@@ -12,7 +12,7 @@ the bus when it can:
 When a :class:`repro.obs.trace.Tracer` is attached to the bus, two more
 correlation fields are stamped: ``trace_id``/``span_id`` tie the event
 to the causal span open when it fired, so an anomaly can be traced to
-the exact client request (and retries, shard hops, worker slot) that
+the exact client request (and its shard hops and worker slot) that
 carried it.  ``0`` means "no tracer" — the common case.
 
 The kinds mirror the paper's detection vocabulary: a
@@ -217,9 +217,10 @@ class ShardUnavailable(Event):
 
 @dataclass(frozen=True)
 class RequestRetried(Event):
-    """A client retried a timed-out or degraded exchange after backoff.
-    Client-side availability telemetry (same reasoning as
-    :class:`ShardUnavailable`: ops signal, not attack evidence)."""
+    """A load-harness unit retried a lost or refused request after
+    backoff (:class:`repro.load.RetryLoop`).  Client-side availability
+    telemetry (same reasoning as :class:`ShardUnavailable`: ops
+    signal, not attack evidence)."""
 
     kind: ClassVar[str] = "RequestRetried"
 

@@ -31,8 +31,8 @@ This module adds the missing causal structure:
   track per trace), loadable in Perfetto or ``chrome://tracing``.
 * :func:`validate_traces` — the structural contract tests pin: every
   trace has exactly one root, every ``parent_id`` resolves inside the
-  same trace (no orphans — even across shard failover and client
-  retries), and no span ends before it begins.
+  same trace (no orphans — even across shard failover), and no span
+  ends before it begins.
 
 The bus stamps every event emitted while a span is open with the
 current ``trace_id``/``span_id`` (see :meth:`EventBus.emit`), which is
@@ -200,7 +200,7 @@ def validate_traces(spans: Sequence[Span]) -> List[str]:
 
     Checks, per trace: exactly one root; every parent_id resolves to a
     span in the *same* trace (an orphan means context was lost across a
-    hop — the failover/retry regression this guards); begin <= end.
+    hop — the failover regression this guards); begin <= end.
     """
     problems: List[str] = []
     by_trace: Dict[int, List[Span]] = {}

@@ -28,8 +28,8 @@ replay cache remembers the original.
 Degradation: a downed shard (``Network.fail_host``) makes the
 frontend's internal hop raise :class:`repro.sim.network.NetworkError`.
 For AS requests there is no replica holding the user's key, so the
-client gets a framed ``ERR_UNAVAILABLE`` and is expected to retry with
-backoff (:class:`repro.kerberos.client.RetryPolicy`).  For TGS requests
+client gets a framed ``ERR_UNAVAILABLE``; the load harness's units
+retry it with backoff (:class:`repro.load.RetryLoop`).  For TGS requests
 the frontend *fails over* to the next healthy shard
 (:func:`repro.serve.sharding.attempt_order`) — correct for
 issuance (TGS keys are replicated) but deliberately honest about the

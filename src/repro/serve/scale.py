@@ -15,10 +15,11 @@ evictions) — and the model is a :class:`repro.serve.cluster.Frontend`,
 so every request goes through the engine's own
 :meth:`~repro.serve.cluster.Frontend.dispatch`: the same try order,
 failover and counters, routed by CRC-32
-:func:`repro.serve.sharding.shard_of` (AS by principal, TGS by
+:func:`repro.serve.sharding.shard_of` (AS by the realm-qualified
+principal, ``user7@ATHENA``, as the engine's frontend routes it; TGS by
 authenticator fingerprint — replay affinity and all).  The unit
-driver (latency histograms, fault timers, replay probe), the client
-backoff, the gauge set and the ``BENCH_kdc.json`` builder are the load
+driver (latency histograms, fault timers, replay probe), the retry
+loop, the gauge set and the ``BENCH_kdc.json`` builder are the load
 harness's own (:mod:`repro.load`).  Also real: the discrete-event
 scheduler itself, and the key of every principal a call names,
 derived with the paper's public ``string_to_key`` transform once per
@@ -63,11 +64,13 @@ from typing import Any, Dict, Generator, Iterator, List, Optional, Set, Tuple
 
 from repro.crypto.keys import string_to_key_many
 from repro.crypto.rng import DeterministicRandom
+from repro.kerberos.client import KerberosError
 from repro.kerberos.config import ProtocolConfig
 from repro.kerberos.kdc import AS_SERVICE, TGS_SERVICE
+from repro.kerberos.messages import ERR_UNAVAILABLE
 from repro.kerberos.validation import LruReplayCache
 from repro.load import (
-    RETRY_POLICY, Finish, LoadRun, cluster_sampler, fault_window, run_units,
+    Finish, LoadRun, RetryLoop, cluster_sampler, fault_window, run_units,
 )
 from repro.obs.timeseries import LogHistogram, TickSampler
 from repro.serve.cluster import Frontend, Shard
@@ -191,11 +194,11 @@ def calibrate(seed: int = 0) -> Dict[str, int]:
 
 
 class _Model(Frontend[Shard]):
-    """One modelled cluster, plus the client retries the engine counts
-    on its event bus."""
+    """One modelled cluster, and the retry loop its clients share."""
 
     def __init__(self, shards: int, workers_per_shard: int,
-                 replay_capacity: int, cal: Dict[str, int]) -> None:
+                 replay_capacity: int, cal: Dict[str, int],
+                 backoff_rng: DeterministicRandom) -> None:
         super().__init__(DEFAULT_REALM, [
             Shard(i, f"model-s{i}", LruReplayCache(replay_capacity),
                   WorkerPool(workers_per_shard))
@@ -205,26 +208,26 @@ class _Model(Frontend[Shard]):
         self.sched = Scheduler(self.clock)
         self.cal = cal
         self.down: Set[int] = set()
-        self.retries = 0
+        self.retry = RetryLoop(backoff_rng)
 
     def _request(
         self, service: str, primary: int, block_ops: int, client: str,
-        fingerprint: bytes, rng: DeterministicRandom,
-        auth_timestamp: int = 0,
-    ) -> Generator[Any, None, Tuple[str, Optional[int]]]:
+        fingerprint: bytes, auth_timestamp: int = 0,
+    ) -> Generator[Any, None, Tuple[str, int]]:
         """One client request (use via ``yield from``; returns the outcome).
 
         Each try is one :meth:`Frontend.dispatch` (see the module
-        docstring).  When every shard refuses, the client backs off by
-        the engine's :data:`repro.load.RETRY_POLICY` as a scheduler
-        wait, so it sees a restore during the backoff, and, out of
-        retries, degrades to ``unavailable``.
+        docstring).  When every shard refuses, the try raises the
+        engine's ``ERR_UNAVAILABLE`` as a :class:`KerberosError`, and
+        :class:`repro.load.RetryLoop` backs off on the scheduler and
+        tries again, so a restore during the backoff serves the retry;
+        out of retries, the error propagates.
 
         Returns ``(outcome, served_by)`` where ``served_by`` is the
-        index of the shard that actually served the request (``None``
-        when nothing did) — the replay probe needs the true serving
-        shard, since a failover serve stores the authenticator in the
-        failover's cache, not the fingerprint-primary's.
+        index of the shard that actually served the request — the
+        replay probe needs the true serving shard, since a failover
+        serve stores the authenticator in the failover's cache, not the
+        fingerprint-primary's.
         """
         clock = self.clock
         wire = self.cal["as_wire_us" if service == AS_SERVICE
@@ -250,17 +253,15 @@ class _Model(Frontend[Shard]):
             clock.advance(finish - now + transit)
             return ("ok" if fresh else "replay"), index
 
-        attempt = 0
-        while True:
+        def request() -> Tuple[str, int]:
             served = self.dispatch(service, primary, serve)
-            if served is not None:
-                return served
-            if attempt >= RETRY_POLICY.max_retries:
-                return "unavailable", None
-            backoff = RETRY_POLICY.backoff_us(attempt, rng)
-            attempt += 1
-            self.retries += 1
-            yield wait(backoff)
+            if served is None:
+                raise KerberosError(
+                    ERR_UNAVAILABLE, f"{service}: shard {primary} is unavailable",
+                )
+            return served
+
+        return self.retry(service, request)
 
 
 def _pareto_frontier(cells: List[Dict[str, Any]]) -> None:
@@ -294,12 +295,13 @@ def _run_model_once(
     key of every rank in *ranks* (:func:`_principal_keys`).
     """
     requests = len(ranks)
-    model = _Model(shards, workers_per_shard, replay_cache_capacity, cal)
+    model = _Model(shards, workers_per_shard, replay_cache_capacity, cal,
+                   seed_rng.fork("backoff"))
     sched, clock = model.sched, model.clock
-    sampler = (cluster_sampler(clock, model, lambda: model.retries,
+    retry = model.retry
+    sampler = (cluster_sampler(clock, model, lambda: retry.retries,
                                interarrival_us)
                if gauges else TickSampler(clock))
-    backoff_rng = seed_rng.fork("backoff")
     curve = None
     if diurnal:
         # Two compressed "days" over the expected run, so the surge of
@@ -323,33 +325,34 @@ def _run_model_once(
     def unit(op: int, intended: int, finish: Finish) -> Iterator[Any]:
         sampler.poll()
         rank = ranks[op]
-        client = f"user{rank}"
+        # The principal string the engine's frontend routes AS by.
+        client = f"user{rank}@{DEFAULT_REALM}"
         keys[rank]  # the AS phase's database read of the client's key
         marks = [intended]
-        outcome, _ = yield from model._request(
-            AS_SERVICE, shard_of(client, shards), cal["as_block_ops"],
-            client, b"", backoff_rng,
-        )
-        if outcome != "ok":
-            finish(marks, outcome)
-            return
-        marks.append(clock.now())
-        yield wait(0)
+        try:
+            yield from model._request(
+                AS_SERVICE, shard_of(client, shards), cal["as_block_ops"],
+                client, b"",
+            )
+            marks.append(clock.now())
+            yield wait(0)
 
-        fingerprint = hashlib.sha1(
-            f"{run_tag}:{op}".encode("ascii")
-        ).digest()[:8]
-        primary = shard_of(fingerprint, shards)
-        auth_time = clock.now()
-        outcome, served_by = yield from model._request(
-            TGS_SERVICE, primary, cal["tgs_block_ops"], client, fingerprint,
-            backoff_rng, auth_timestamp=auth_time,
-        )
+            fingerprint = hashlib.sha1(
+                f"{run_tag}:{op}".encode("ascii")
+            ).digest()[:8]
+            primary = shard_of(fingerprint, shards)
+            auth_time = clock.now()
+            outcome, served_by = yield from model._request(
+                TGS_SERVICE, primary, cal["tgs_block_ops"], client,
+                fingerprint, auth_timestamp=auth_time,
+            )
+        except KerberosError:
+            finish(marks, "unavailable")
+            return
         if outcome != "ok":
             finish(marks, outcome)
             return
         marks.append(clock.now())
-        assert served_by is not None  # an "ok" request was served
         recorded_tgs.append((client, auth_time, fingerprint, served_by))
         yield wait(cal["ap_us"])
         marks.append(clock.now())
@@ -370,7 +373,7 @@ def _run_model_once(
         recorded=lambda: recorded_tgs, replay=replay,
     )
     return LoadRun(
-        frontend=model, workload={}, client_retries=model.retries, **driven,
+        frontend=model, workload={}, client_retries=retry.retries, **driven,
     )
 
 

@@ -125,11 +125,6 @@ class HostClock:
     def now(self) -> int:
         return self._clock.now() + self.offset
 
-    def wait(self, amount: int) -> None:
-        """This host idles for *amount* µs of true time (retry backoff,
-        polling sleeps).  Waiting does not change the host's offset."""
-        self._clock.advance(amount)
-
     def set_from(self, reported_time: int) -> None:
         """Adopt *reported_time* as the current time (a time-service sync).
 

@@ -218,9 +218,6 @@ class Network:
         """Bring *address* back; its registered endpoints resume serving."""
         self._down.discard(address)
 
-    def is_down(self, address: str) -> bool:
-        return address in self._down
-
     def register(self, address: str, service: str, handler: Handler) -> None:
         """Bind *handler* to ``(address, service)``."""
         key = (address, service)

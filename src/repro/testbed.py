@@ -236,13 +236,12 @@ class Testbed:
         cache_kind: StorageKind = StorageKind.LOCAL_DISK,
         forwardable: bool = False,
         config: Optional[ProtocolConfig] = None,
-        retry_policy=None,
     ) -> LoginOutcome:
         realm_obj = self._realm_of(realm)
         program = LoginProgram(
             host, config if config is not None else self.config,
             self.directory, self.rng.fork(f"login:{user}:{host.name}"),
-            cache_kind=cache_kind, retry_policy=retry_policy,
+            cache_kind=cache_kind,
         )
         principal = Principal(user, "", realm_obj.name)
         return program.login(principal, typed_input, forwardable=forwardable)

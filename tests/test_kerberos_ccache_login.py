@@ -1,9 +1,11 @@
 """Credential caches and the login programs."""
 
+import pytest
 
 from repro import Testbed, ProtocolConfig
 from repro.hardware import HandheldDevice
 from repro.kerberos.ccache import CredentialCache, Credentials, parse_cache_bytes
+from repro.kerberos.client import KerberosError
 from repro.kerberos.login import TrojanedLoginProgram
 from repro.kerberos.principal import Principal
 from repro.sim.clock import SimClock
@@ -74,6 +76,19 @@ def test_login_program_creates_cache():
     bed = Testbed(ProtocolConfig.v4(), seed=1)
     bed.add_user("pat", "pw")
     ws = bed.add_workstation("ws1")
+    outcome = bed.login("pat", "pw", ws)
+    assert outcome.client.ccache.tgt() is not None
+    assert ws.logged_in == ["pat"]
+
+
+def test_failed_login_logs_the_user_out():
+    """A single-user workstation stays usable after a failed login."""
+    bed = Testbed(ProtocolConfig.v4(), seed=1)
+    bed.add_user("pat", "pw")
+    ws = bed.add_workstation("ws1")
+    with pytest.raises(KerberosError):
+        bed.login("pat", "wrong", ws)
+    assert ws.logged_in == []
     outcome = bed.login("pat", "pw", ws)
     assert outcome.client.ccache.tgt() is not None
     assert ws.logged_in == ["pat"]

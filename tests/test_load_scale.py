@@ -12,10 +12,12 @@ import pytest
 from repro.crypto.keys import string_to_key, string_to_key_many
 from repro.crypto.rng import DeterministicRandom
 from repro.kerberos.kdc import AS_SERVICE
-from repro.load import RETRY_POLICY, LoadInputError, render_report, run_load
+from repro.kerberos.principal import Principal
+from repro.load import LoadInputError, backoff_us, render_report, run_load
 from repro.serve import scale
-from repro.serve.cluster import Frontend, KdcCluster
-from repro.serve.scale import _Model, calibrate
+from repro.serve.cluster import ClusterDatabase, Frontend, KdcCluster
+from repro.serve.scale import _Model, _run_model_once, calibrate
+from repro.serve.sharding import shard_of
 from repro.sim.workload import ZipfianGenerator
 
 PRINCIPALS = 30_000
@@ -286,24 +288,71 @@ def test_modelled_backoff_sees_a_restore():
     cal = {"as_wire_us": 1000, "tgs_wire_us": 1000, "ap_us": 1000,
            "as_block_ops": 25, "tgs_block_ops": 49}
     model = _Model(shards=2, workers_per_shard=1, replay_capacity=8,
-                   cal=cal)
+                   cal=cal, backoff_rng=DeterministicRandom(0))
     model.down.add(0)
     outcomes = []
 
     def client():
         outcomes.append((yield from model._request(
-            AS_SERVICE, 0, cal["as_block_ops"], "user0", b"",
-            DeterministicRandom(0),
+            AS_SERVICE, 0, cal["as_block_ops"], "user0@ATHENA", b"",
         )))
 
-    first_backoff = RETRY_POLICY.backoff_us(0, DeterministicRandom(0))
+    first_backoff = backoff_us(0, DeterministicRandom(0))
     model.sched.spawn(client())
     model.sched.at(first_backoff // 2, lambda: model.down.discard(0))
     model.sched.run()
     assert outcomes == [("ok", 0)]
-    assert model.retries == 1
+    assert model.retry.retries == 1
     assert model.unavailable == 1
     assert model.requests[AS_SERVICE] == 2
+
+
+def test_engine_backoff_sees_a_restore():
+    """The engine twin: a unit's AS request meets its downed home
+    shard, the shard comes back inside the first backoff, and the retry
+    is served.  Three units, one principal homed on the shard that the
+    outage downs for op 1 only; the restore comes one interarrival
+    (500-1500us) after the refusal, well inside any first backoff."""
+    shards = 3
+    assert shard_of("user0@ATHENA", shards) == 1 % shards
+    report = run_load(shards=shards, clients=1, requests=3,
+                      interarrival_us=1000, seed=0, out_path=None)
+    degrade = report["degradation"]
+    assert degrade["fault_window"] == {"shard": 1, "first_op": 1,
+                                       "last_op": 1}
+    assert degrade["unavailable_replies"] == 1
+    assert degrade["client_retries"] == 1
+    assert degrade["errors"] == {}
+    assert report["throughput"]["completed"] == 3
+    assert report["cluster"]["requests"][AS_SERVICE] == 4
+
+
+def test_model_homes_principals_where_the_engine_does(monkeypatch):
+    """The model routes a unit's AS request to the shard that holds the
+    principal's key in engine mode (``ClusterDatabase.home_shard``)."""
+    shards = 3
+    database = ClusterDatabase("ATHENA", DeterministicRandom(0), shards)
+    seen = {}
+    original = _Model._request
+
+    def spy(self, service, primary, block_ops, client, *args, **kwargs):
+        if service == AS_SERVICE:
+            seen[client] = primary
+        return original(self, service, primary, block_ops, client,
+                        *args, **kwargs)
+
+    monkeypatch.setattr(_Model, "_request", spy)
+    ranks = list(range(1000))
+    _run_model_once(
+        ranks, dict.fromkeys(ranks, b""), shards, 2, 256, 600,
+        diurnal=False, faults=False, seed_rng=DeterministicRandom(0),
+        cal=calibrate(0), gauges=False,
+    )
+    assert len(seen) == len(ranks)
+    for client, primary in seen.items():
+        rank = int(client.split("@")[0][len("user"):])
+        assert primary == database.home_shard(
+            Principal(f"user{rank}", "", "ATHENA")), client
 
 
 def test_modelled_unit_costs_three_events():

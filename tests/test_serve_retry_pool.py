@@ -1,9 +1,10 @@
-"""Client retry policy and the virtual-time worker pool.
+"""The load harness's retry loop and the virtual-time worker pool.
 
-The client side of graceful degradation: bounded retries with jittered
-exponential backoff against transient faults, fail-fast behaviour
-preserved when no policy is set.  Plus the queueing model that turns
-the synchronous simulation into measurable p95/p99 latency.
+The client side of graceful degradation: a unit retries a refused KDC
+request with bounded, jittered exponential backoff on the scheduler
+(:class:`repro.load.RetryLoop`), while the Kerberos client itself
+fails fast.  Plus the queueing model that turns the synchronous
+simulation into measurable p95/p99 latency.
 """
 
 import heapq
@@ -14,54 +15,61 @@ from hypothesis import strategies as st
 
 from repro import Testbed, ProtocolConfig
 from repro.crypto.rng import DeterministicRandom
-from repro.kerberos.client import KerberosError, RetryPolicy
+from repro.kerberos.client import KerberosError
+from repro.kerberos.kdc import AS_SERVICE
+from repro.kerberos.messages import ERR_UNAVAILABLE
 from repro.kerberos.principal import Principal
+from repro.load import (
+    BACKOFF_BASE_US, BACKOFF_CAP_US, MAX_RETRIES, RetryLoop, backoff_us,
+)
 from repro.obs.bus import capture
 from repro.obs.timeseries import FOLD_THRESHOLD, LogHistogram
 from repro.serve.pool import (
     DEFAULT_BATCH_OVERHEAD_US, DEFAULT_BATCH_WINDOW_US, DEFAULT_OVERHEAD_US,
     DEFAULT_US_PER_BLOCK_OP, WorkerPool,
 )
-from repro.sim.clock import MILLISECOND, SECOND, SimClock
 from repro.sim.network import NetworkError
+from repro.sim.sched import Scheduler
 
 REPLAY_CONFIG = ProtocolConfig.v5_draft3().but(replay_cache=True)
 
 
-# -- RetryPolicy --------------------------------------------------------
+# -- backoff_us ---------------------------------------------------------
+
+
+class _Midpoint:
+    """An rng stand-in that always draws the middle of the range, so a
+    backoff is its un-jittered base."""
+
+    def randint(self, low, high):
+        return (low + high) // 2
 
 
 def test_backoff_grows_and_caps():
-    policy = RetryPolicy(backoff_base=50 * MILLISECOND,
-                         backoff_cap=2 * SECOND, jitter=0.0)
-    rng = DeterministicRandom(1)
-    delays = [policy.backoff_us(attempt, rng) for attempt in range(8)]
-    assert delays[0] == 50 * MILLISECOND
-    assert delays[1] == 100 * MILLISECOND
+    delays = [backoff_us(attempt, _Midpoint()) for attempt in range(10)]
+    assert delays[0] == BACKOFF_BASE_US
+    assert delays[1] == 2 * BACKOFF_BASE_US
     assert delays == sorted(delays)
-    assert delays[-1] == 2 * SECOND
+    assert delays[-1] == BACKOFF_CAP_US
 
 
 def test_backoff_jitter_stays_within_spread():
-    policy = RetryPolicy(backoff_base=100 * MILLISECOND, jitter=0.5)
     rng = DeterministicRandom(2)
     for attempt in range(4):
-        base = min(policy.backoff_cap, policy.backoff_base << attempt)
-        for _ in range(20):
-            delay = policy.backoff_us(attempt, rng)
-            assert base // 2 <= delay <= base + base // 2
+        base = min(BACKOFF_CAP_US, BACKOFF_BASE_US << attempt)
+        delays = [backoff_us(attempt, rng) for _ in range(20)]
+        assert all(base // 2 <= delay <= base + base // 2
+                   for delay in delays)
+        assert len(set(delays)) > 1  # jittered, not fixed
 
 
 def test_backoff_is_deterministic_per_seed():
-    policy = RetryPolicy()
-    a = [policy.backoff_us(i, DeterministicRandom(3).fork("r"))
-         for i in range(4)]
-    b = [policy.backoff_us(i, DeterministicRandom(3).fork("r"))
-         for i in range(4)]
+    a = [backoff_us(i, DeterministicRandom(3).fork("r")) for i in range(4)]
+    b = [backoff_us(i, DeterministicRandom(3).fork("r")) for i in range(4)]
     assert a == b
 
 
-# -- retries against transient faults ----------------------------------
+# -- the retry loop against transient faults ---------------------------
 
 
 def flaky_drop(bed, service, failures):
@@ -78,31 +86,56 @@ def flaky_drop(bed, service, failures):
     bed.adversary.drop_if(predicate)
 
 
-def test_login_survives_transient_drops_with_policy():
+def unit_login(bed, password, workstation, seed=0):
+    """A login as a load-harness unit's AS phase makes it: through the
+    retry loop, in a process on a scheduler over the bed's clock.
+    Returns the loop, the scheduler and the login's outcome or error."""
+    sched = Scheduler(bed.clock)
+    retry = RetryLoop(DeterministicRandom(seed), bed.bus)
+    result = {}
+
+    def unit():
+        try:
+            result["outcome"] = yield from retry(
+                AS_SERVICE, lambda: bed.login("pat", password, workstation),
+            )
+        except (KerberosError, NetworkError) as exc:
+            result["error"] = exc
+
+    sched.spawn(unit())
+    sched.run()
+    return retry, sched, result
+
+
+def test_login_survives_transient_drops():
     with capture() as cap:
         bed = Testbed(REPLAY_CONFIG, seed=7, shards=2)
         bed.add_user("pat", "correct horse")
         flaky_drop(bed, "kerberos", failures=2)
-        outcome = bed.login(
-            "pat", "correct horse", bed.add_workstation("ws1"),
-            retry_policy=RetryPolicy(max_retries=3),
-        )
-    assert outcome.credentials.server.is_tgs
-    assert outcome.client.retries == 2
+        ws = bed.add_workstation("ws1")
+        retry, _, result = unit_login(bed, "correct horse", ws)
+    assert result["outcome"].credentials.server.is_tgs
+    assert retry.retries == 2
     retried = [e for e in cap.events if e.kind == "RequestRetried"]
     assert [e.attempt for e in retried] == [1, 2]
-    assert all(e.backoff_us > 0 for e in retried)
+    assert all(e.service == AS_SERVICE and e.backoff_us > 0
+               for e in retried)
+    # Each failed try logged pat out again, so the retry could log in.
+    assert ws.logged_in == ["pat"]
 
 
 def test_backoff_advances_simulated_time():
+    """The backoff is a scheduler wait, not a clock advance inside the
+    event that was refused: one event to try, one to wake and retry."""
     bed = Testbed(REPLAY_CONFIG, seed=7, shards=2)
     bed.add_user("pat", "correct horse")
     flaky_drop(bed, "kerberos", failures=1)
+    ws = bed.add_workstation("ws1")
     before = bed.clock.now()
-    bed.login("pat", "correct horse", bed.add_workstation("ws1"),
-              retry_policy=RetryPolicy(max_retries=2, jitter=0.0,
-                                       backoff_base=40 * MILLISECOND))
-    assert bed.clock.now() - before >= 40 * MILLISECOND
+    retry, sched, result = unit_login(bed, "correct horse", ws, seed=5)
+    assert "outcome" in result and retry.retries == 1
+    assert sched.events_processed == 2
+    assert bed.clock.now() - before >= backoff_us(0, DeterministicRandom(5))
 
 
 def test_retries_exhaust_to_unavailable_error():
@@ -112,15 +145,18 @@ def test_retries_exhaust_to_unavailable_error():
         Principal("pat", "", bed.realm.name)
     )
     bed.network.fail_host(home.host.address)
-    with pytest.raises(KerberosError) as err:
-        bed.login("pat", "pw", bed.add_workstation("ws1"),
-                  retry_policy=RetryPolicy(max_retries=2))
-    assert err.value.code == 12  # ERR_UNAVAILABLE
-    # 1 original + 2 retries, each counted by the frontend.
-    assert bed.realm.cluster.unavailable == 3
+    ws = bed.add_workstation("ws1")
+    retry, _, result = unit_login(bed, "pw", ws)
+    assert isinstance(result["error"], KerberosError)
+    assert result["error"].code == ERR_UNAVAILABLE
+    assert retry.retries == MAX_RETRIES
+    # 1 original + the retries, each counted by the frontend.
+    assert bed.realm.cluster.unavailable == 1 + MAX_RETRIES
+    assert ws.logged_in == []
 
 
 def test_no_policy_means_fail_fast():
+    """The client itself never retries: a lost request is an error."""
     bed = Testbed(REPLAY_CONFIG, seed=7, shards=2)
     bed.add_user("pat", "correct horse")
     flaky_drop(bed, "kerberos", failures=1)
@@ -131,9 +167,11 @@ def test_no_policy_means_fail_fast():
 def test_non_retryable_errors_are_not_retried():
     bed = Testbed(REPLAY_CONFIG, seed=7, shards=2)
     bed.add_user("pat", "correct horse")
-    with pytest.raises(KerberosError):
-        bed.login("pat", "wrong password", bed.add_workstation("ws1"),
-                  retry_policy=RetryPolicy(max_retries=3))
+    ws = bed.add_workstation("ws1")
+    retry, _, result = unit_login(bed, "wrong password", ws)
+    assert isinstance(result["error"], KerberosError)
+    assert result["error"].code != ERR_UNAVAILABLE
+    assert retry.retries == 0
     # A decrypt failure is the client's problem, not the service's.
     assert bed.realm.cluster.requests["kerberos"] == 1
 
@@ -305,16 +343,3 @@ def test_unread_pool_folds_its_samples_as_it_goes():
     assert pool.max_queue_wait_us == reference.max_queue_wait_us
     assert pool.stats() == reference.stats()
 
-
-# -- HostClock.wait -----------------------------------------------------
-
-
-def test_host_clock_wait_advances_true_time_not_offset():
-    from repro.sim.clock import HostClock
-
-    clock = SimClock(start=1000)
-    host_view = HostClock(clock, offset=500)
-    host_view.wait(250)
-    assert clock.now() == 1250
-    assert host_view.now() == 1750
-    assert host_view.skew() == 500
