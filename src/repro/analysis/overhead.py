@@ -49,7 +49,7 @@ def measure(config: ProtocolConfig, seed: int = 0, label: str = "") -> CostRow:
     ws = bed.add_workstation("ws1")
 
     messages_before = bed.network._seq
-    BLOCK_OPS.reset()
+    ops_before = BLOCK_OPS.count
 
     outcome = bed.login("pat", "correct horse", ws)
     cred = outcome.client.get_service_ticket(echo.principal)
@@ -65,7 +65,7 @@ def measure(config: ProtocolConfig, seed: int = 0, label: str = "") -> CostRow:
     return CostRow(
         label=label or config.label,
         wire_messages=bed.network._seq - messages_before,
-        des_block_ops=BLOCK_OPS.reset(),
+        des_block_ops=BLOCK_OPS.count - ops_before,
     )
 
 

@@ -23,7 +23,10 @@ of this changes the function computed:
   an E-form half back to the byte it carries, ahead of the 8×256 FP
   byte tables;
 * the key schedule is eight byte-table lookups: each key byte's share
-  of all 16 round keys is precomputed as one 768-bit integer.
+  of all 16 round keys is precomputed as one 768-bit integer;
+* every block operation, in :mod:`repro.crypto.modes` and here, is one
+  call of :func:`crypt_blocks`: a block's bytes go straight into E-form,
+  and the CBC/PCBC chain stays in it (IP, E and FP commute with XOR).
 
 The per-bit path the tables replace — block function and key schedule —
 is retained in :mod:`repro.crypto.des_reference`; property tests
@@ -369,41 +372,67 @@ class _OpCounter:
 BLOCK_OPS = _OpCounter()
 
 
-def _crypt_block(block: bytes, subkeys: Sequence[int]) -> bytes:
-    """One block operation, all table-driven, over E-form halves.
+#: Chaining rules for :func:`crypt_blocks`.
+ECB, CBC, PCBC = 0, 1, 2
 
-    Both halves are carried as their 48-bit E expansions.  E only selects
-    bits, so ``E(L ⊕ f) = E(L) ⊕ E(f)``: a round XORs the unchanged round
-    key into the E-form right half and adds four ``_SPE`` hits, already
-    in E-form, to the left.  Pass *subkeys* reversed to decrypt.
+
+def crypt_blocks(schedule: KeySchedule, data: bytes, chaining: int = ECB,
+                 iv: bytes = bytes(8), decrypt: bool = False) -> bytes:
+    """Every table-path block operation: *data* under *schedule*, chained
+    by *chaining*, in one Feistel loop over E-form halves.
+
+    IP, E and FP commute with XOR and IP undoes FP, so the chain stays in
+    E-form too.  Let ``X`` be the E-form of the block read (its bytes
+    through ``_IP_TAB``) and ``Y`` that of the block written (FP's
+    input); the IV goes through IP once.  Encrypting, the rounds run on
+    ``X ⊕ chain`` and leave ``Y``; decrypting, they run on ``X`` and
+    ``Y`` is their output ``⊕ chain``.  The next chain is ``Y`` under CBC
+    encryption (no IP needed), ``X`` under CBC decryption and ``X ⊕ Y``
+    under PCBC; ECB has none.
+
+    Callers check lengths: *data* is whole blocks and *iv* one block.
+    :data:`BLOCK_OPS` rises once per call, by the block count.
     """
-    if len(block) != BLOCK_SIZE:
-        raise DesError(f"DES block must be {BLOCK_SIZE} bytes, got {len(block)}")
-    BLOCK_OPS.count += 1
-    ip = _IP_TAB
-    value = (
-        ip[0][block[0]] | ip[1][block[1]] | ip[2][block[2]] | ip[3][block[3]]
-        | ip[4][block[4]] | ip[5][block[5]] | ip[6][block[6]] | ip[7][block[7]]
-    )
-    left = value >> 48
-    right = value & 0xFFFFFFFFFFFF
+    BLOCK_OPS.count += len(data) >> 3
+    subkeys = schedule._decrypt_subkeys if decrypt else schedule.subkeys
+    ip0, ip1, ip2, ip3, ip4, ip5, ip6, ip7 = _IP_TAB
     sp0, sp1, sp2, sp3 = _SPE
-    for subkey in subkeys:
-        t = right ^ subkey
-        left, right = right, (
-            left ^ sp0[t >> 36] ^ sp1[(t >> 24) & 0xFFF]
-            ^ sp2[(t >> 12) & 0xFFF] ^ sp3[t & 0xFFF]
-        )
-    # Final swap is folded into the order of (right, left) here.
+    fp0, fp1, fp2, fp3, fp4, fp5, fp6, fp7 = _FP_TAB
     une = _UNE
-    fp = _FP_TAB
-    out = (
-        fp[0][une[right >> 36]] | fp[1][une[(right >> 24) & 0xFFF]]
-        | fp[2][une[(right >> 12) & 0xFFF]] | fp[3][une[right & 0xFFF]]
-        | fp[4][une[left >> 36]] | fp[5][une[(left >> 24) & 0xFFF]]
-        | fp[6][une[(left >> 12) & 0xFFF]] | fp[7][une[left & 0xFFF]]
-    )
-    return out.to_bytes(8, "big")
+    chain = 0
+    if chaining != ECB:
+        i0, i1, i2, i3, i4, i5, i6, i7 = iv
+        chain = (ip0[i0] | ip1[i1] | ip2[i2] | ip3[i3]
+                 | ip4[i4] | ip5[i5] | ip6[i6] | ip7[i7])
+    words: List[bytes] = []
+    it = iter(data)
+    for b0, b1, b2, b3, b4, b5, b6, b7 in zip(it, it, it, it, it, it, it, it):
+        block = (ip0[b0] | ip1[b1] | ip2[b2] | ip3[b3]
+                 | ip4[b4] | ip5[b5] | ip6[b6] | ip7[b7])
+        value = block if decrypt else block ^ chain
+        left = value >> 48
+        right = value & 0xFFFFFFFFFFFF
+        for subkey in subkeys:
+            t = right ^ subkey
+            left, right = right, (
+                left ^ sp0[t >> 36] ^ sp1[(t >> 24) & 0xFFF]
+                ^ sp2[(t >> 12) & 0xFFF] ^ sp3[t & 0xFFF]
+            )
+        # The final swap is folded into the order of (right, left).
+        value = (right << 48) | left
+        if decrypt:
+            value ^= chain
+        if chaining == CBC:
+            chain = block if decrypt else value
+        elif chaining == PCBC:
+            chain = block ^ value
+        words.append((
+            fp0[une[value >> 84]] | fp1[une[(value >> 72) & 0xFFF]]
+            | fp2[une[(value >> 60) & 0xFFF]] | fp3[une[(value >> 48) & 0xFFF]]
+            | fp4[une[(value >> 36) & 0xFFF]] | fp5[une[(value >> 24) & 0xFFF]]
+            | fp6[une[(value >> 12) & 0xFFF]] | fp7[une[value & 0xFFF]]
+        ).to_bytes(8, "big"))
+    return b"".join(words)
 
 
 # --- the key-schedule cache ------------------------------------------------
@@ -426,10 +455,16 @@ class KeySchedule:
         self._decrypt_subkeys = self.subkeys[::-1]
 
     def encrypt_block(self, block: bytes) -> bytes:
-        return _crypt_block(block, self.subkeys)
+        if len(block) != BLOCK_SIZE:
+            raise DesError(
+                f"DES block must be {BLOCK_SIZE} bytes, got {len(block)}")
+        return crypt_blocks(self, block)
 
     def decrypt_block(self, block: bytes) -> bytes:
-        return _crypt_block(block, self._decrypt_subkeys)
+        if len(block) != BLOCK_SIZE:
+            raise DesError(
+                f"DES block must be {BLOCK_SIZE} bytes, got {len(block)}")
+        return crypt_blocks(self, block, decrypt=True)
 
 
 #: Bound on distinct keys memoised at once.  A whole matrix run touches a
@@ -487,12 +522,12 @@ def clear_schedule_cache() -> None:
 
 def encrypt_block(key: bytes, block: bytes) -> bytes:
     """Encrypt one 8-byte block under *key* (8 bytes, parity ignored)."""
-    return _crypt_block(block, get_schedule(key).subkeys)
+    return get_schedule(key).encrypt_block(block)
 
 
 def decrypt_block(key: bytes, block: bytes) -> bytes:
     """Decrypt one 8-byte block under *key*."""
-    return _crypt_block(block, get_schedule(key)._decrypt_subkeys)
+    return get_schedule(key).decrypt_block(block)
 
 
 class DesCipher:
@@ -510,10 +545,10 @@ class DesCipher:
         self.key = self._schedule.key
 
     def encrypt_block(self, block: bytes) -> bytes:
-        return _crypt_block(block, self._schedule.subkeys)
+        return self._schedule.encrypt_block(block)
 
     def decrypt_block(self, block: bytes) -> bytes:
-        return _crypt_block(block, self._schedule._decrypt_subkeys)
+        return self._schedule.decrypt_block(block)
 
 
 def set_odd_parity(key: bytes) -> bytes:

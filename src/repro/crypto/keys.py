@@ -135,11 +135,11 @@ def string_to_key(password: str, salt: str = "") -> bytes:
 
 #: Below this many same-length candidates the sliced CBC checksum loses to
 #: the table-driven path; fall back to scalar derivation.  Measured on
-#: CPython 3.11, 2-vCPU Xeon VM, one-block (8-byte padded) passwords,
-#: scalar vs batched µs/key: 13–19 vs 80–114 at 8 candidates, 13–21 vs
-#: 15–21 at 128, 12–23 vs 11–18 at 192; two-block passwords tie at 128
-#: too (30–36 vs 28–37).  Wider batches keep gaining (tight loop, median
-#: of 7): 19.8 vs 14.4 at 256, 19.2 vs 8.7 at 1,024, 16.2 vs 7.0 at 2,048.
+#: CPython 3.11, 2-vCPU Xeon VM, scalar over batched µs/key (median of 25
+#: alternating rounds): one-block (8-byte padded) passwords 0.95 at 128
+#: (quartiles 0.88–1.02, so a tie), 1.08 at 144, 1.18 at 192; two-block
+#: 0.94–0.98 at 128, 1.24 at 192.  Scalar wins ~7× at 8 candidates, and
+#: batched keeps gaining with width: 24 vs 15 µs/key at 256.
 _BATCH_FLOOR = 128
 
 

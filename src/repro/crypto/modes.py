@@ -18,12 +18,13 @@ The modes here are the protagonists of two of the paper's attacks:
 
 All functions take and return raw ``bytes``; inputs must already be padded
 to a multiple of the 8-byte block size (see :func:`pad_zero` /
-:func:`pad_random`).  Every mode routes through the module-level key
-schedule cache (:func:`repro.crypto.des.get_schedule`) and assembles its
-output into one preallocated ``bytearray``, so repeated calls under the
-same key — the common case three protocol layers deep — cost only block
-operations.  The chaining modes carry their chain value as an integer:
-one ``int.from_bytes`` per block read, one integer XOR per combination.
+:func:`pad_random`).  Each mode checks its input and is then one call of
+the chained DES kernel (:func:`repro.crypto.des.crypt_blocks`) under the
+module-level key schedule cache (:func:`repro.crypto.des.get_schedule`),
+so repeated calls under the same key — the common case three protocol
+layers deep — cost only block operations.  The kernel carries the chain
+in the Feistel rounds' E-form, so no block is converted to an integer
+and back on its way through a chaining mode.
 Confounders — the random leading block Version 5
 prepends so that identical plaintexts encrypt differently — are provided
 as explicit helpers because the paper argues they belong in the encryption
@@ -34,7 +35,9 @@ from __future__ import annotations
 
 from typing import Protocol
 
-from repro.crypto.des import BLOCK_SIZE, DesError, get_schedule
+from repro.crypto.des import (
+    BLOCK_SIZE, CBC, PCBC, DesError, crypt_blocks, get_schedule,
+)
 
 __all__ = [
     "SupportsRandomBytes",
@@ -96,49 +99,25 @@ def pad_random(data: bytes, rng: SupportsRandomBytes) -> bytes:
 def ecb_encrypt(key: bytes, plaintext: bytes) -> bytes:
     """Electronic-codebook encryption (used only for single blocks)."""
     _check_blocks(plaintext, "plaintext")
-    encrypt = get_schedule(key).encrypt_block
-    out = bytearray(len(plaintext))
-    for i in range(0, len(plaintext), BLOCK_SIZE):
-        out[i:i + BLOCK_SIZE] = encrypt(plaintext[i:i + BLOCK_SIZE])
-    return bytes(out)
+    return crypt_blocks(get_schedule(key), plaintext)
 
 
 def ecb_decrypt(key: bytes, ciphertext: bytes) -> bytes:
     _check_blocks(ciphertext, "ciphertext")
-    decrypt = get_schedule(key).decrypt_block
-    out = bytearray(len(ciphertext))
-    for i in range(0, len(ciphertext), BLOCK_SIZE):
-        out[i:i + BLOCK_SIZE] = decrypt(ciphertext[i:i + BLOCK_SIZE])
-    return bytes(out)
+    return crypt_blocks(get_schedule(key), ciphertext, decrypt=True)
 
 
 def cbc_encrypt(key: bytes, plaintext: bytes, iv: bytes = ZERO_IV) -> bytes:
     """Standard cipher-block chaining: ``C_i = E(P_i xor C_{i-1})``."""
     _check_blocks(plaintext, "plaintext")
     _check_iv(iv)
-    encrypt = get_schedule(key).encrypt_block
-    chain = int.from_bytes(iv, "big")
-    out = bytearray(len(plaintext))
-    for i in range(0, len(plaintext), BLOCK_SIZE):
-        block = int.from_bytes(plaintext[i:i + BLOCK_SIZE], "big")
-        sealed = encrypt((block ^ chain).to_bytes(BLOCK_SIZE, "big"))
-        out[i:i + BLOCK_SIZE] = sealed
-        chain = int.from_bytes(sealed, "big")
-    return bytes(out)
+    return crypt_blocks(get_schedule(key), plaintext, CBC, iv)
 
 
 def cbc_decrypt(key: bytes, ciphertext: bytes, iv: bytes = ZERO_IV) -> bytes:
     _check_blocks(ciphertext, "ciphertext")
     _check_iv(iv)
-    decrypt = get_schedule(key).decrypt_block
-    chain = int.from_bytes(iv, "big")
-    out = bytearray(len(ciphertext))
-    for i in range(0, len(ciphertext), BLOCK_SIZE):
-        block = ciphertext[i:i + BLOCK_SIZE]
-        plain = int.from_bytes(decrypt(block), "big") ^ chain
-        out[i:i + BLOCK_SIZE] = plain.to_bytes(BLOCK_SIZE, "big")
-        chain = int.from_bytes(block, "big")
-    return bytes(out)
+    return crypt_blocks(get_schedule(key), ciphertext, CBC, iv, decrypt=True)
 
 
 def pcbc_encrypt(key: bytes, plaintext: bytes, iv: bytes = ZERO_IV) -> bytes:
@@ -150,29 +129,13 @@ def pcbc_encrypt(key: bytes, plaintext: bytes, iv: bytes = ZERO_IV) -> bytes:
     """
     _check_blocks(plaintext, "plaintext")
     _check_iv(iv)
-    encrypt = get_schedule(key).encrypt_block
-    chain = int.from_bytes(iv, "big")
-    out = bytearray(len(plaintext))
-    for i in range(0, len(plaintext), BLOCK_SIZE):
-        block = int.from_bytes(plaintext[i:i + BLOCK_SIZE], "big")
-        sealed = encrypt((block ^ chain).to_bytes(BLOCK_SIZE, "big"))
-        out[i:i + BLOCK_SIZE] = sealed
-        chain = block ^ int.from_bytes(sealed, "big")
-    return bytes(out)
+    return crypt_blocks(get_schedule(key), plaintext, PCBC, iv)
 
 
 def pcbc_decrypt(key: bytes, ciphertext: bytes, iv: bytes = ZERO_IV) -> bytes:
     _check_blocks(ciphertext, "ciphertext")
     _check_iv(iv)
-    decrypt = get_schedule(key).decrypt_block
-    chain = int.from_bytes(iv, "big")
-    out = bytearray(len(ciphertext))
-    for i in range(0, len(ciphertext), BLOCK_SIZE):
-        block = ciphertext[i:i + BLOCK_SIZE]
-        plain = int.from_bytes(decrypt(block), "big") ^ chain
-        out[i:i + BLOCK_SIZE] = plain.to_bytes(BLOCK_SIZE, "big")
-        chain = plain ^ int.from_bytes(block, "big")
-    return bytes(out)
+    return crypt_blocks(get_schedule(key), ciphertext, PCBC, iv, decrypt=True)
 
 
 def add_confounder(plaintext: bytes, rng: SupportsRandomBytes) -> bytes:

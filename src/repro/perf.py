@@ -153,12 +153,10 @@ def bench_exchange(runs: int = 5) -> Dict[str, Any]:
     """Time E18's canonical workload (login + ticket + AP + 3 messages)."""
     config = ProtocolConfig.v4()
     measure(config, seed=0)  # warm-up: import costs, first-touch caches
-    ops_before = BLOCK_OPS.count
     start = time.perf_counter()
     for i in range(runs):
         row = measure(config, seed=i)
     elapsed = time.perf_counter() - start
-    BLOCK_OPS.count = ops_before  # measure() resets the meter; keep ours
     return {
         "runs": runs,
         "exchanges_per_s": round(runs / elapsed, 2) if elapsed else 0.0,
@@ -177,14 +175,14 @@ def bench_matrix(scenario_count: Optional[int] = None) -> Dict[str, Any]:
     scenarios: Sequence = SCENARIOS
     if scenario_count is not None:
         scenarios = SCENARIOS[:scenario_count]
-    BLOCK_OPS.reset()
+    ops_before = BLOCK_OPS.count
     start = time.perf_counter()
     matrix = run_attack_matrix(scenarios=scenarios)
     elapsed = time.perf_counter() - start
     return {
         "cells": len(matrix.cells),
         "serial_seconds": round(elapsed, 3),
-        "des_block_ops": BLOCK_OPS.reset(),
+        "des_block_ops": BLOCK_OPS.count - ops_before,
         "hardened_clean": matrix.hardened_clean(),
     }
 

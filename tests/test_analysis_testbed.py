@@ -6,6 +6,7 @@ from repro.analysis import (
     PasswordPopulation, attack_dictionary, compare_recommendations,
     measure, render_matrix, render_table,
 )
+from repro.crypto.des import BLOCK_OPS, decrypt_block, encrypt_block
 
 
 def test_measure_counts_are_positive_and_stable():
@@ -14,6 +15,29 @@ def test_measure_counts_are_positive_and_stable():
     assert first.wire_messages == second.wire_messages
     assert first.des_block_ops == second.des_block_ops
     assert first.wire_messages > 0 and first.des_block_ops > 0
+
+
+def test_measure_reads_the_block_op_meter_without_resetting_it():
+    """measure() reads the process-wide meter by difference, so a reading
+    that spans it keeps the ops on either side: two outside ops around
+    the same measure() add exactly 2 to the span."""
+    key, block = bytes.fromhex("133457799BBCDFF1"), bytes(8)
+
+    def span(outside):
+        before = BLOCK_OPS.count
+        if outside:
+            encrypt_block(key, block)
+        row = measure(ProtocolConfig.v4(), seed=0)
+        if outside:
+            decrypt_block(key, block)
+        return BLOCK_OPS.count - before, row.des_block_ops
+
+    alone, ops = span(False)
+    around, again = span(True)
+    assert again == ops > 0
+    assert around == alone + 2
+    # The span also holds measure()'s test-bed set-up (string_to_key).
+    assert alone > ops
 
 
 def test_challenge_response_costs_exactly_one_round_trip():

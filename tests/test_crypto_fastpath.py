@@ -130,6 +130,140 @@ def test_modes_roundtrip_through_fast_path(plaintext, key, iv):
         == plaintext
 
 
+# --- the chained kernel: decryption, input types, the meter ---------------
+#
+# Every mode and the single-block API are one call of des.crypt_blocks,
+# which carries the chain in the rounds' E-form.  Decryption is pinned
+# here on ciphertext nobody encrypted, under keys that include the weak
+# and semi-weak ones (whose schedules are palindromes or mirror pairs).
+
+any_key = st.one_of(key8, st.sampled_from(
+    sorted(des.WEAK_KEYS | des.SEMIWEAK_KEYS)))
+blocks_0_16 = st.integers(min_value=0, max_value=16).flatmap(
+    lambda n: st.binary(min_size=8 * n, max_size=8 * n))
+
+
+def _reference_decrypt(mode, key, ciphertext, iv):
+    """ECB/CBC/PCBC decryption composed from reference block ops."""
+    from repro.crypto.bits import xor_bytes
+
+    out = bytearray()
+    chain = iv
+    for i in range(0, len(ciphertext), 8):
+        block = ciphertext[i:i + 8]
+        plain = des_reference.decrypt_block(key, block)
+        if mode == "cbc":
+            plain, chain = xor_bytes(plain, chain), block
+        elif mode == "pcbc":
+            plain = xor_bytes(plain, chain)
+            chain = xor_bytes(plain, block)
+        out += plain
+    return bytes(out)
+
+
+@given(blocks_0_16, any_key, key8)
+@settings(max_examples=40, deadline=None)
+def test_decrypting_random_ciphertext_matches_reference(ciphertext, key, iv):
+    assert modes.ecb_decrypt(key, ciphertext) == \
+        _reference_decrypt("ecb", key, ciphertext, iv)
+    assert modes.cbc_decrypt(key, ciphertext, iv) == \
+        _reference_decrypt("cbc", key, ciphertext, iv)
+    assert modes.pcbc_decrypt(key, ciphertext, iv) == \
+        _reference_decrypt("pcbc", key, ciphertext, iv)
+
+
+#: (name, mode function, takes an IV) for all six modes.
+MODES = [
+    ("ecb_encrypt", modes.ecb_encrypt, False),
+    ("ecb_decrypt", modes.ecb_decrypt, False),
+    ("cbc_encrypt", modes.cbc_encrypt, True),
+    ("cbc_decrypt", modes.cbc_decrypt, True),
+    ("pcbc_encrypt", modes.pcbc_encrypt, True),
+    ("pcbc_decrypt", modes.pcbc_decrypt, True),
+]
+KEY = bytes.fromhex("0123456789ABCDEF")
+IV = bytes.fromhex("FEDCBA9876543210")
+DATA = bytes(range(7, 7 + 40))
+
+
+@pytest.mark.parametrize("wrap", [bytearray, memoryview])
+@pytest.mark.parametrize("name,mode,takes_iv", MODES)
+def test_bytearray_and_memoryview_inputs_match_bytes(wrap, name, mode,
+                                                     takes_iv):
+    expected = mode(KEY, DATA, *([IV] if takes_iv else []))
+    assert mode(KEY, wrap(DATA), *([wrap(IV)] if takes_iv else [])) == expected
+
+
+@pytest.mark.parametrize("wrap", [bytearray, memoryview])
+def test_single_block_api_takes_bytearray_and_memoryview(wrap):
+    block = DATA[:8]
+    schedule = get_schedule(KEY)
+    cipher = des.DesCipher(KEY)
+    for encrypt in (True, False):
+        fast = encrypt_block if encrypt else decrypt_block
+        expected = fast(KEY, block)
+        assert fast(KEY, wrap(block)) == expected
+        method = "encrypt_block" if encrypt else "decrypt_block"
+        assert getattr(schedule, method)(wrap(block)) == expected
+        assert getattr(cipher, method)(wrap(block)) == expected
+
+
+@pytest.mark.parametrize("blocks", [0, 1, 2, 5, 16])
+@pytest.mark.parametrize("name,mode,takes_iv", MODES)
+def test_mode_call_counts_exactly_its_blocks(blocks, name, mode, takes_iv):
+    data = bytes(range(8 * blocks))
+    before = des.BLOCK_OPS.count
+    out = mode(KEY, data, *([IV] if takes_iv else []))
+    assert len(out) == len(data)
+    assert des.BLOCK_OPS.count - before == blocks
+
+
+def test_single_block_entry_points_count_one_each():
+    block = DATA[:8]
+    schedule = get_schedule(KEY)
+    cipher = des.DesCipher(KEY)
+    for call in (
+        lambda: encrypt_block(KEY, block),
+        lambda: decrypt_block(KEY, block),
+        lambda: schedule.encrypt_block(block),
+        lambda: schedule.decrypt_block(block),
+        lambda: cipher.encrypt_block(block),
+        lambda: cipher.decrypt_block(block),
+    ):
+        before = des.BLOCK_OPS.count
+        call()
+        assert des.BLOCK_OPS.count - before == 1
+
+
+@pytest.mark.parametrize("name,mode,takes_iv", MODES)
+def test_misaligned_input_or_bad_iv_raises_and_counts_nothing(name, mode,
+                                                               takes_iv):
+    before = des.BLOCK_OPS.count
+    with pytest.raises(des.DesError):
+        mode(KEY, DATA[:13], *([IV] if takes_iv else []))
+    if takes_iv:
+        for bad_iv in (b"", IV[:7], IV + b"\x00"):
+            with pytest.raises(des.DesError):
+                mode(KEY, DATA, bad_iv)
+    assert des.BLOCK_OPS.count == before
+
+
+def test_wrong_length_block_raises_and_counts_nothing():
+    schedule = get_schedule(KEY)
+    cipher = des.DesCipher(KEY)
+    before = des.BLOCK_OPS.count
+    for bad in (b"", DATA[:7], DATA[:9], DATA[:16]):
+        for call in (encrypt_block, decrypt_block):
+            with pytest.raises(des.DesError):
+                call(KEY, bad)
+        for owner in (schedule, cipher):
+            with pytest.raises(des.DesError):
+                owner.encrypt_block(bad)
+            with pytest.raises(des.DesError):
+                owner.decrypt_block(bad)
+    assert des.BLOCK_OPS.count == before
+
+
 # --- the schedule cache ----------------------------------------------------
 
 
