@@ -1,10 +1,11 @@
 """Cryptographic substrate, implemented from scratch.
 
 Everything Kerberos V4 / V5-Draft-3 needed, in pure Python: DES (FIPS 46),
-the ECB/CBC/PCBC modes, MD4, CRC-32 (plus its GF(2) forgery), checksum
-classification, exponential key exchange with the baby-step/giant-step
-break, password-to-key derivation, tagged keys, and deterministic
-randomness for reproducible simulation.
+the ECB/CBC/PCBC modes, MD4, CRC-32 (plus its GF(2) forgery; the CRC
+itself is computed by zlib, with the from-scratch byte loop kept as the
+tests' oracle), checksum classification, exponential key exchange with
+the baby-step/giant-step break, password-to-key derivation, tagged
+keys, and deterministic randomness for reproducible simulation.
 """
 
 from repro.crypto.checksum import ChecksumType, compute as compute_checksum, verify as verify_checksum

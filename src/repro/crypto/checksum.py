@@ -23,12 +23,16 @@ carries:
     the same checksum value."  Keyedness does *not* rescue a weak digest.
 
 Checksums are computed over ``data`` plus an optional key.  The DES-MAC
-variant encrypts the MD4 digest under the key with CBC.
+variant encrypts the MD4 digest under the key with CBC.  CRC-32 is
+:func:`zlib.crc32` (see :mod:`repro.crypto.crc` for the from-scratch
+oracle the tests hold it to), MD4 is this package's pure-Python digest,
+and :func:`verify` compares with :func:`hmac.compare_digest`.
 """
 
 from __future__ import annotations
 
 import enum
+import hmac
 from dataclasses import dataclass
 from typing import Callable, Dict
 
@@ -47,15 +51,11 @@ def constant_time_compare(left: bytes, right: bytes) -> bool:
     ``==`` on bytes returns at the first differing byte, so an attacker
     timing a verifier learns the length of the matching prefix — an
     oracle that turns offline guessing into online byte-at-a-time
-    search.  This fold reads every byte of both inputs regardless; only
-    the (public) lengths short-circuit.
+    search.  :func:`hmac.compare_digest` reads every byte of both
+    inputs regardless, in C; only the (public) lengths short-circuit,
+    and unequal lengths compare False.
     """
-    if len(left) != len(right):
-        return False
-    diff = 0
-    for a, b in zip(left, right):
-        diff |= a ^ b
-    return diff == 0
+    return hmac.compare_digest(left, right)
 
 
 class ChecksumType(enum.Enum):

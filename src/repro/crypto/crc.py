@@ -18,14 +18,21 @@ needs, since the forged field (authorization data) comes after the fields
 the attacker rewrites (option bits, enclosed ticket).
 
 The CRC itself is the reflected IEEE 802.3 polynomial 0xEDB88320, the one
-Kerberos specified.
+Kerberos specified.  :func:`crc32`, which every seal, unseal, request
+checksum and forgery calls, is :func:`zlib.crc32`: the same function,
+computed in C.  :func:`crc32_reference` is the from-scratch definition,
+a byte loop over a 256-entry table; no serving, attack or checker path
+calls it, and the tests hold :func:`crc32` to it, as they hold the DES
+table path to :mod:`repro.crypto.des_reference`.  The GF(2) forgery is
+written from scratch and needs nothing of the CRC but its values.
 """
 
 from __future__ import annotations
 
+import zlib
 from typing import List
 
-__all__ = ["crc32", "forge_field", "ForgeryError"]
+__all__ = ["crc32", "crc32_reference", "forge_field", "ForgeryError"]
 
 _POLY = 0xEDB88320
 
@@ -43,9 +50,15 @@ def _build_table() -> List[int]:
 _TABLE = _build_table()
 
 
-def crc32(data: bytes, initial: int = 0xFFFFFFFF) -> int:
-    """Reflected CRC-32 with final complement (matches zlib.crc32)."""
-    crc = initial
+def crc32(data: bytes) -> int:
+    """Reflected CRC-32 with final complement, computed by zlib."""
+    return zlib.crc32(data)
+
+
+def crc32_reference(data: bytes) -> int:
+    """The from-scratch CRC-32: one table lookup per byte.  Equal to
+    :func:`crc32` on every input; the tests' oracle."""
+    crc = 0xFFFFFFFF
     for byte in data:
         crc = _TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
     return crc ^ 0xFFFFFFFF

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.crypto.checksum import ChecksumType, compute, spec_for, verify
+from repro.crypto.checksum import (
+    ChecksumType,
+    compute,
+    constant_time_compare,
+    spec_for,
+    verify,
+)
 
 KEY = b"\x13\x34\x57\x79\x9b\xbc\xdf\xf1"
 
@@ -48,3 +54,43 @@ def test_unkeyed_checksum_is_attacker_computable():
     original = compute(ChecksumType.MD4, b"legitimate request")
     attacker_copy = compute(ChecksumType.MD4, b"legitimate request")
     assert original == attacker_copy
+
+
+DIGEST = bytes(range(16))
+
+
+def _flip(data, index):
+    out = bytearray(data)
+    out[index] ^= 0x01
+    return bytes(out)
+
+
+def test_constant_time_compare_equal_inputs():
+    assert constant_time_compare(DIGEST, bytes(DIGEST))
+    assert constant_time_compare(b"", b"")
+
+
+@pytest.mark.parametrize("index", [0, len(DIGEST) - 1])
+def test_constant_time_compare_one_byte_difference(index):
+    assert not constant_time_compare(DIGEST, _flip(DIGEST, index))
+    assert not constant_time_compare(_flip(DIGEST, index), DIGEST)
+
+
+def test_constant_time_compare_unequal_lengths_are_false():
+    assert not constant_time_compare(DIGEST, DIGEST[:-1])
+    assert not constant_time_compare(DIGEST + b"\x00", DIGEST)
+    assert not constant_time_compare(b"", DIGEST)
+
+
+@pytest.mark.parametrize("wrap", [bytearray, memoryview])
+def test_constant_time_compare_accepts_bytes_like(wrap):
+    assert constant_time_compare(DIGEST, wrap(DIGEST))
+    assert constant_time_compare(wrap(DIGEST), DIGEST)
+    assert not constant_time_compare(DIGEST, wrap(_flip(DIGEST, 3)))
+
+
+def test_constant_time_compare_rejects_str_mixed_with_bytes():
+    with pytest.raises(TypeError):
+        constant_time_compare("0123", b"0123")
+    with pytest.raises(TypeError):
+        constant_time_compare(b"0123", "0123")
