@@ -21,8 +21,7 @@ Commands:
   wire cleartext, reporting text, JSON, or SARIF 2.1.0
   (``--consistency`` pins the verdicts dynamically — checker == lint
   == live matrix, a same-seed double run asserting byte-identical
-  reports, or a planted-canary-key artifact scan;
-  ``--jobs N`` parallelises the scan);
+  reports, or a planted-canary-key artifact scan);
 * ``check``       — re-derive the attack matrix symbolically with the
   bounded Dolev-Yao model checker: attack traces in the paper's
   notation for vulnerable cells, exhausted searches with named closing
@@ -268,7 +267,6 @@ def _cmd_lint(args) -> int:
         root=args.root,
         consistency=args.consistency,
         write_baseline_path=args.write_baseline,
-        jobs=args.jobs,
     )
 
 
@@ -536,11 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
              "for the sim family, a canary-key witness scanning every "
              "emitted artifact for unsealed key bytes for the crypto "
              "family",
-    )
-    lint.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for the per-file source scan "
-             "(byte-identical output)",
     )
     check = sub.add_parser(
         "check", help="re-derive the attack matrix with the bounded "

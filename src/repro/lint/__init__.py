@@ -28,9 +28,20 @@ Three rule families share one AST/dataflow engine
   (:mod:`repro.lint.cryptoconsistency`) plants canary key bytes, drives
   the tree and scans every emitted artifact for them.
 
+Every config-independent rule — all of the sim and crypto families,
+and the protocol family's ``CONFIG-FLAG-UNREAD`` — has one shape,
+:class:`~repro.lint.findings.CodeRule`, and one runner,
+:func:`~repro.lint.findings.run_code_rules`, which reports each
+evidence site as a finding under the family's column label.  The sim
+and crypto families read one shared model of ``src/repro`` minus
+:data:`~repro.lint.engine.BASE_EXCLUDES`; the protocol family scans
+the narrower :data:`~repro.lint.engine.DEFAULT_EXCLUDES` subtree.
+
 Reporters (:mod:`repro.lint.reporters`) render any family as text,
-JSON, or SARIF 2.1.0.  Entry point: ``python -m repro lint
-[--family protocol|sim|crypto|all]`` (see :mod:`repro.lint.cli`).
+JSON, or SARIF 2.1.0, building each rule's SARIF metadata with one
+function, :func:`~repro.lint.reporters.sarif_rule`.  Entry point:
+``python -m repro lint [--family protocol|sim|crypto|all]`` (see
+:mod:`repro.lint.cli`).
 """
 
 from repro.lint.baseline import (
@@ -38,31 +49,31 @@ from repro.lint.baseline import (
     load_baseline_entries, split_by_baseline, write_baseline,
 )
 from repro.lint.engine import (
-    CodeModel, analyze_repro, analyze_source, analyze_tree,
+    BASE_EXCLUDES, DEFAULT_EXCLUDES, CodeModel, analyze_repro,
+    analyze_source, analyze_tree,
 )
-from repro.lint.findings import Finding, Severity, sort_findings
-from repro.lint.reporters import render_json, render_sarif, render_text
+from repro.lint.findings import (
+    CodeRule, Finding, Severity, run_code_rules, sort_findings,
+)
+from repro.lint.reporters import (
+    render_json, render_sarif, render_text, sarif_rule,
+)
 from repro.lint.rules import (
-    CODE_COLUMN, RULES, RULES_BY_ID, Rule, fired_rule_ids,
-    run_all_rules, run_code_rules, run_config_rules,
+    CODE_COLUMN, CODE_RULES, RULES, RULES_BY_ID, Rule, fired_rule_ids,
+    run_all_rules, run_config_rules,
 )
 from repro.lint.simconsistency import (
     DeterminismReport, canonical_report_bytes, check_determinism,
 )
-from repro.lint.simrules import (
-    SIM_COLUMN, SIM_RULES, SIM_RULES_BY_ID, SIM_SCAN_EXCLUDES,
-    WALL_BUDGET_FILES, SimRule, run_sim_rules,
-)
 
 __all__ = [
-    "BaselineEntry", "BaselineError", "CODE_COLUMN", "CodeModel",
+    "BASE_EXCLUDES", "BaselineEntry", "BaselineError", "CODE_COLUMN",
+    "CODE_RULES", "CodeModel", "CodeRule", "DEFAULT_EXCLUDES",
     "DeterminismReport", "Finding", "RULES", "RULES_BY_ID", "Rule",
-    "SIM_COLUMN", "SIM_RULES", "SIM_RULES_BY_ID", "SIM_SCAN_EXCLUDES",
-    "Severity", "SimRule", "WALL_BUDGET_FILES", "analyze_repro",
-    "analyze_source", "analyze_tree", "canonical_report_bytes",
-    "check_determinism", "find_stale", "fired_rule_ids",
-    "load_baseline", "load_baseline_entries", "render_json",
-    "render_sarif", "render_text", "run_all_rules", "run_code_rules",
-    "run_config_rules", "run_sim_rules", "sort_findings",
+    "Severity", "analyze_repro", "analyze_source", "analyze_tree",
+    "canonical_report_bytes", "check_determinism", "find_stale",
+    "fired_rule_ids", "load_baseline", "load_baseline_entries",
+    "render_json", "render_sarif", "render_text", "run_all_rules",
+    "run_code_rules", "run_config_rules", "sarif_rule", "sort_findings",
     "split_by_baseline", "write_baseline",
 ]

@@ -29,19 +29,23 @@ from repro.lint.baseline import (
     BaselineError, find_stale, load_baseline_entries, split_by_baseline,
     write_baseline,
 )
-from repro.lint.engine import CodeModel, analyze_repro, analyze_tree
-from repro.lint.findings import Finding, Severity
-from repro.lint.reporters import render_json, render_sarif, render_text
+from repro.lint.engine import (
+    BASE_EXCLUDES, DEFAULT_EXCLUDES, CodeModel, analyze_repro,
+    analyze_tree,
+)
+from repro.lint.findings import CodeRule, Finding, Severity, run_code_rules
+from repro.lint.reporters import (
+    default_sarif_rules, render_json, render_sarif, render_text,
+    sarif_rule,
+)
 from repro.lint.rules import (
     RULES_BY_ID, UNREAD_FLAG_RULE_ID, run_all_rules,
 )
 from repro.lint.cryptorules import (
-    CRYPTO_COLUMN, CRYPTO_RULES_BY_ID, CRYPTO_SCAN_EXCLUDES,
-    crypto_sarif_rules, run_crypto_rules,
+    CRYPTO_COLUMN, CRYPTO_PAPER_SECTION, CRYPTO_RULES, CRYPTO_RULES_BY_ID,
 )
 from repro.lint.simrules import (
-    SIM_COLUMN, SIM_RULES_BY_ID, SIM_SCAN_EXCLUDES, run_sim_rules,
-    sim_sarif_rules,
+    SIM_COLUMN, SIM_PAPER_SECTION, SIM_RULES, SIM_RULES_BY_ID,
 )
 
 __all__ = ["run_lint", "resolve_columns", "run_witness", "Witness",
@@ -57,6 +61,13 @@ _FAIL_RANK: Dict[str, int] = {
 }
 
 Printer = Callable[[str], None]
+
+#: The config-independent families: rules, column label, paper section.
+#: Both read one model, of ``src/repro`` minus ``BASE_EXCLUDES``.
+_CODE_FAMILIES: Dict[str, Tuple[Tuple[CodeRule, ...], str, str]] = {
+    "sim": (SIM_RULES, SIM_COLUMN, SIM_PAPER_SECTION),
+    "crypto": (CRYPTO_RULES, CRYPTO_COLUMN, CRYPTO_PAPER_SECTION),
+}
 
 #: Banner of the tri-consistency witness, shared with ``check``.
 TRI_BANNER = ("tri-consistency harness: checker vs. lint vs. the live "
@@ -116,7 +127,7 @@ def _emit_events(findings: Sequence[Finding]) -> None:
 def _render(fmt: str, fresh: Sequence[Finding],
             suppressed: Sequence[Finding],
             labels: Sequence[str],
-            sarif_rules: Optional[List[Dict[str, Any]]] = None) -> str:
+            sarif_rules: List[Dict[str, Any]]) -> str:
     if fmt == "json":
         return render_json(fresh, suppressed, labels)
     if fmt == "sarif":
@@ -162,7 +173,6 @@ def run_lint(
     root: Optional[str] = None,
     consistency: bool = False,
     write_baseline_path: Optional[str] = None,
-    jobs: Optional[int] = None,
     family: str = "protocol",
     echo: Printer = print,
 ) -> int:
@@ -170,18 +180,17 @@ def run_lint(
 
     ``family`` selects the rule famil(ies): ``protocol`` (default),
     ``sim`` (determinism / scheduler-safety over the simulation stack),
-    ``crypto`` (key-material flow into output surfaces), or ``all`` —
-    note the families scan different subtrees.
-    ``jobs=N`` fans the per-file scan out over N worker processes
-    (byte-identical output; see :func:`repro.lint.engine.analyze_tree`).
+    ``crypto`` (key-material flow into output surfaces), or ``all``.
+    The protocol family scans a narrower subtree than the other two,
+    which share one scan, so ``all`` scans the tree twice.
     """
     if family not in FAMILIES:
         echo(f"unknown family {family!r}; choose protocol, sim, crypto, "
              "or all")
         return 2
     want_protocol = family in ("protocol", "all")
-    want_sim = family in ("sim", "all")
-    want_crypto = family in ("crypto", "all")
+    code_families = [name for name in _CODE_FAMILIES
+                     if family in (name, "all")]
 
     columns: List[Tuple[str, ProtocolConfig]] = []
     if want_protocol:
@@ -192,25 +201,14 @@ def run_lint(
             return 2
         columns = resolved
 
-    protocol_model: Optional[CodeModel] = None
-    sim_model: Optional[CodeModel] = None
-    crypto_model: Optional[CodeModel] = None
-    if want_protocol:
-        protocol_model = (analyze_repro(jobs=jobs) if root is None
-                          else analyze_tree(Path(root), jobs=jobs))
-    if want_sim:
-        sim_model = (
-            analyze_repro(exclude=SIM_SCAN_EXCLUDES, jobs=jobs)
-            if root is None
-            else analyze_tree(Path(root), exclude=SIM_SCAN_EXCLUDES,
-                              jobs=jobs))
-    if want_crypto:
-        crypto_model = (
-            analyze_repro(exclude=CRYPTO_SCAN_EXCLUDES, jobs=jobs)
-            if root is None
-            else analyze_tree(Path(root), exclude=CRYPTO_SCAN_EXCLUDES,
-                              jobs=jobs))
-    for model in (protocol_model, sim_model, crypto_model):
+    def scan(exclude: Sequence[str]) -> CodeModel:
+        if root is None:
+            return analyze_repro(exclude)
+        return analyze_tree(Path(root), exclude)
+
+    protocol_model = scan(DEFAULT_EXCLUDES) if want_protocol else None
+    shared_model = scan(BASE_EXCLUDES) if code_families else None
+    for model in (protocol_model, shared_model):
         if model is not None and model.errors:
             for error in model.errors:
                 echo(f"parse error: {error}")
@@ -218,15 +216,18 @@ def run_lint(
 
     findings: List[Finding] = []
     labels: List[str] = []
+    sarif_rules: List[Dict[str, Any]] = []
     if protocol_model is not None:
         findings.extend(run_all_rules(protocol_model, columns))
         labels.extend(label for label, _config in columns)
-    if sim_model is not None:
-        findings.extend(run_sim_rules(sim_model))
-        labels.append(SIM_COLUMN)
-    if crypto_model is not None:
-        findings.extend(run_crypto_rules(crypto_model))
-        labels.append(CRYPTO_COLUMN)
+        sarif_rules += default_sarif_rules()
+    if shared_model is not None:
+        for name in code_families:
+            rules, label, section = _CODE_FAMILIES[name]
+            findings.extend(run_code_rules(rules, shared_model, label,
+                                           section))
+            labels.append(label)
+            sarif_rules += [sarif_rule(rule, section) for rule in rules]
     _emit_events(findings)
 
     if write_baseline_path is not None:
@@ -268,18 +269,6 @@ def run_lint(
         accepted = {entry.fingerprint: entry.reason for entry in entries}
         fresh, suppressed = split_by_baseline(findings, accepted)
 
-    sarif_rules: Optional[List[Dict[str, Any]]] = None
-    if fmt == "sarif" and family != "protocol":
-        sarif_rules = []
-        if want_protocol:
-            from repro.lint.reporters import default_sarif_rules
-
-            sarif_rules += default_sarif_rules()
-        if want_sim:
-            sarif_rules += sim_sarif_rules()
-        if want_crypto:
-            sarif_rules += crypto_sarif_rules()
-
     report = _render(fmt, fresh, suppressed, labels, sarif_rules)
     if out is not None:
         Path(out).write_text(report + "\n", encoding="utf-8")
@@ -301,7 +290,7 @@ def run_lint(
                 columns=columns, code_model=protocol_model), echo):
             exit_code = 1
 
-    if consistency and sim_model is not None:
+    if consistency and "sim" in code_families:
         from repro.lint.simconsistency import check_determinism
 
         sim_fresh = [f for f in fresh if f.column == SIM_COLUMN]
@@ -313,7 +302,7 @@ def run_lint(
                 echo):
             exit_code = 1
 
-    if consistency and crypto_model is not None:
+    if consistency and "crypto" in code_families:
         from repro.lint.cryptoconsistency import check_canary
 
         crypto_fresh = [f for f in fresh if f.column == CRYPTO_COLUMN]

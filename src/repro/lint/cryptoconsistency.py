@@ -174,12 +174,12 @@ def _load_artifact(seed: int, out_dir: Path) -> None:
 
 def _sarif_artifact(findings: Sequence[Finding], out_dir: Path) -> None:
     """Render the crypto family's own SARIF log as a scanned artifact."""
-    from repro.lint.cryptorules import crypto_sarif_rules
-    from repro.lint.reporters import render_sarif
+    from repro.lint.cryptorules import CRYPTO_PAPER_SECTION, CRYPTO_RULES
+    from repro.lint.reporters import render_sarif, sarif_rule
 
+    rules = [sarif_rule(rule, CRYPTO_PAPER_SECTION) for rule in CRYPTO_RULES]
     (out_dir / "repro-lint-crypto.sarif").write_text(
-        render_sarif(list(findings), rules=crypto_sarif_rules()) + "\n",
-        encoding="utf-8",
+        render_sarif(list(findings), rules=rules) + "\n", encoding="utf-8",
     )
 
 

@@ -26,7 +26,11 @@ contract.  The :func:`~repro.lint.engine.CodeModel.secret_returners`
 summary makes the analysis interprocedural: a ``key_of`` defined in
 ``database.py`` convicts a ``print(...key_of(p)...)`` in another file.
 
-Six rules:
+Six rules, each a :class:`~repro.lint.findings.CodeRule` whose every
+evidence site is its own finding under :data:`CRYPTO_COLUMN`.  The
+family reads the model of ``src/repro`` minus
+:data:`~repro.lint.engine.BASE_EXCLUDES`, which it shares with the sim
+family:
 
 ``CRYPTO-SECRET-TO-LOG``
     Raw key material reaches a telemetry/report sink (``emit``, tracer
@@ -68,17 +72,14 @@ every emitted artifact for unsealed canary escapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.lint.engine import CodeModel, is_crypto_secret_name
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import CodeRule, EvidenceSite, Severity
 
 __all__ = [
-    "CRYPTO_COLUMN", "CRYPTO_PAPER_SECTION", "CRYPTO_SCAN_EXCLUDES",
-    "ECB_ALLOWED_FILES", "CryptoRule", "CRYPTO_RULES",
-    "CRYPTO_RULES_BY_ID", "run_crypto_rules", "crypto_sarif_rules",
-    "sealed_secret_fields",
+    "CRYPTO_COLUMN", "CRYPTO_PAPER_SECTION", "ECB_ALLOWED_FILES",
+    "CRYPTO_RULES", "CRYPTO_RULES_BY_ID", "sealed_secret_fields",
 ]
 
 #: Column label on every crypto-family finding (key hygiene is a
@@ -87,11 +88,6 @@ CRYPTO_COLUMN = "(crypto)"
 
 #: The paper section the family reproduces evidence for.
 CRYPTO_PAPER_SECTION = "Key management"
-
-#: Subtrees skipped when the crypto family scans ``src/repro``: the
-#: attack modules handle stolen keys *on purpose*, and the analyzers
-#: themselves talk about secrets without holding any.
-CRYPTO_SCAN_EXCLUDES: Tuple[str, ...] = ("attacks", "lint", "check")
 
 #: Files allowed to call ``ecb_encrypt``/``ecb_decrypt``: the mode's
 #: definition site, the perf harness that benchmarks it, and the
@@ -104,20 +100,6 @@ ECB_ALLOWED_FILES: FrozenSet[str] = frozenset({
     "src/repro/kerberos/kdc.py",
     "src/repro/kerberos/client.py",
 })
-
-Evidence = Tuple[str, int, str]          # (file, line, message)
-EvidenceQuery = Callable[[CodeModel], List[Evidence]]
-
-
-@dataclass(frozen=True)
-class CryptoRule:
-    """One key-material hygiene hazard, as a checkable rule."""
-
-    rule_id: str
-    severity: Severity
-    title: str
-    description: str
-    evidence: EvidenceQuery
 
 
 def sealed_secret_fields() -> FrozenSet[str]:
@@ -145,8 +127,8 @@ def sealed_secret_fields() -> FrozenSet[str]:
 # --------------------------------------------------------------------- #
 
 
-def _to_log_evidence(model: CodeModel) -> List[Evidence]:
-    out: List[Evidence] = []
+def _to_log_evidence(model: CodeModel) -> List[EvidenceSite]:
+    out: List[EvidenceSite] = []
     for flow in model.crypto_flows:
         out.append((flow.file, flow.line, (
             f"raw key material '{flow.secret}' reaches output sink "
@@ -172,8 +154,8 @@ def _to_log_evidence(model: CodeModel) -> List[Evidence]:
     return sorted(out)
 
 
-def _in_error_evidence(model: CodeModel) -> List[Evidence]:
-    out: List[Evidence] = []
+def _in_error_evidence(model: CodeModel) -> List[EvidenceSite]:
+    out: List[EvidenceSite] = []
     for site in model.secret_raises:
         out.append((site.file, site.line, (
             f"secret '{site.secret}' reaches an exception message in "
@@ -183,8 +165,8 @@ def _in_error_evidence(model: CodeModel) -> List[Evidence]:
     return sorted(out)
 
 
-def _compare_evidence(model: CodeModel) -> List[Evidence]:
-    out: List[Evidence] = []
+def _compare_evidence(model: CodeModel) -> List[EvidenceSite]:
+    out: List[EvidenceSite] = []
     for site in model.secret_compares:
         out.append((site.file, site.line, (
             f"variable-time ==/!= on secret '{site.secret}' in "
@@ -195,8 +177,8 @@ def _compare_evidence(model: CodeModel) -> List[Evidence]:
     return sorted(out)
 
 
-def _ecb_evidence(model: CodeModel) -> List[Evidence]:
-    out: List[Evidence] = []
+def _ecb_evidence(model: CodeModel) -> List[EvidenceSite]:
+    out: List[EvidenceSite] = []
     for call in model.calls:
         if call.callee not in ("ecb_encrypt", "ecb_decrypt"):
             continue
@@ -210,8 +192,8 @@ def _ecb_evidence(model: CodeModel) -> List[Evidence]:
     return sorted(out)
 
 
-def _default_evidence(model: CodeModel) -> List[Evidence]:
-    out: List[Evidence] = []
+def _default_evidence(model: CodeModel) -> List[EvidenceSite]:
+    out: List[EvidenceSite] = []
     for site in model.secret_defaults:
         if site.kind == "default":
             what = (f"parameter '{site.name}' of {site.function} bakes "
@@ -228,10 +210,10 @@ def _default_evidence(model: CodeModel) -> List[Evidence]:
     return sorted(out)
 
 
-def _unsealed_evidence(model: CodeModel) -> List[Evidence]:
+def _unsealed_evidence(model: CodeModel) -> List[EvidenceSite]:
     fields = sealed_secret_fields()
     sealing_files = model.files_calling("seal", "seal_private")
-    out: List[Evidence] = []
+    out: List[EvidenceSite] = []
     for entry in model.dict_literal_keys:
         if entry.key not in fields or entry.value_empty:
             continue
@@ -255,8 +237,8 @@ def _unsealed_evidence(model: CodeModel) -> List[Evidence]:
 # --------------------------------------------------------------------- #
 
 
-CRYPTO_RULES: Tuple[CryptoRule, ...] = (
-    CryptoRule(
+CRYPTO_RULES: Tuple[CodeRule, ...] = (
+    CodeRule(
         rule_id="CRYPTO-SECRET-TO-LOG",
         severity=Severity.ERROR,
         title="Key material reaches a telemetry or report sink",
@@ -270,7 +252,7 @@ CRYPTO_RULES: Tuple[CryptoRule, ...] = (
         ),
         evidence=_to_log_evidence,
     ),
-    CryptoRule(
+    CodeRule(
         rule_id="CRYPTO-SECRET-IN-ERROR",
         severity=Severity.ERROR,
         title="Key material reaches an exception message",
@@ -282,7 +264,7 @@ CRYPTO_RULES: Tuple[CryptoRule, ...] = (
         ),
         evidence=_in_error_evidence,
     ),
-    CryptoRule(
+    CodeRule(
         rule_id="CRYPTO-NONCONST-COMPARE",
         severity=Severity.WARNING,
         title="Variable-time comparison of key or verifier material",
@@ -296,7 +278,7 @@ CRYPTO_RULES: Tuple[CryptoRule, ...] = (
         ),
         evidence=_compare_evidence,
     ),
-    CryptoRule(
+    CodeRule(
         rule_id="CRYPTO-ECB-SEAL",
         severity=Severity.ERROR,
         title="ECB used outside the single-block allowlist",
@@ -310,7 +292,7 @@ CRYPTO_RULES: Tuple[CryptoRule, ...] = (
         ),
         evidence=_ecb_evidence,
     ),
-    CryptoRule(
+    CodeRule(
         rule_id="CRYPTO-KEY-IN-DEFAULT",
         severity=Severity.WARNING,
         title="Key material in a default or module/class container",
@@ -324,7 +306,7 @@ CRYPTO_RULES: Tuple[CryptoRule, ...] = (
         ),
         evidence=_default_evidence,
     ),
-    CryptoRule(
+    CodeRule(
         rule_id="CRYPTO-UNSEALED-FIELD",
         severity=Severity.ERROR,
         title="Sealed-part secret field constructed outside a seal",
@@ -340,44 +322,6 @@ CRYPTO_RULES: Tuple[CryptoRule, ...] = (
     ),
 )
 
-CRYPTO_RULES_BY_ID: Dict[str, CryptoRule] = {
+CRYPTO_RULES_BY_ID: Dict[str, CodeRule] = {
     rule.rule_id: rule for rule in CRYPTO_RULES
 }
-
-
-# --------------------------------------------------------------------- #
-# running rules
-# --------------------------------------------------------------------- #
-
-
-def run_crypto_rules(model: CodeModel) -> List[Finding]:
-    """Every crypto-family finding over *model*, one per evidence
-    site."""
-    findings: List[Finding] = []
-    for rule in CRYPTO_RULES:
-        for file, line, message in rule.evidence(model):
-            findings.append(Finding(
-                rule_id=rule.rule_id,
-                severity=rule.severity,
-                message=message,
-                file=file,
-                line=line,
-                column=CRYPTO_COLUMN,
-                paper_section=CRYPTO_PAPER_SECTION,
-            ))
-    return findings
-
-
-def crypto_sarif_rules() -> List[Dict[str, Any]]:
-    """SARIF ``tool.driver.rules`` metadata for the crypto family."""
-    rules: List[Dict[str, Any]] = []
-    for rule in CRYPTO_RULES:
-        rules.append({
-            "id": rule.rule_id,
-            "name": rule.rule_id.title().replace("-", ""),
-            "shortDescription": {"text": rule.title},
-            "fullDescription": {"text": rule.description},
-            "defaultConfiguration": {"level": rule.severity.value},
-            "properties": {"paperSection": CRYPTO_PAPER_SECTION},
-        })
-    return rules

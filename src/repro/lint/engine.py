@@ -49,23 +49,21 @@ protocol-misuse rules in :mod:`repro.lint.rules` care about:
   bare-name assignments strongly update it, and ``sorted()`` (or an
   order-insensitive reducer such as ``any``/``len``/``sum``) cleanses.
 
-Several subtrees are excluded by default: ``attacks`` (which misuses
-the primitives *on purpose*); ``lint`` itself and ``check`` (the model
-checker), because their predicates and property gates read config
-fields and would otherwise count as the protocol code consulting them,
-shifting every finding's anchor; and the operational layer — ``serve``
+Both scans of ``src/repro`` skip :data:`BASE_EXCLUDES`: ``attacks``,
+which misuses the primitives and handles stolen keys *on purpose*, and
+the analyzers ``lint`` and ``check``, whose predicates and property
+gates read config fields (they would count as the protocol code
+consulting them, shifting every finding's anchor) and talk about
+secrets without holding any.  The protocol family's scan
+(:data:`DEFAULT_EXCLUDES`) also skips the operational layer — ``serve``
 (the sharded KDC service), ``load`` (its load harness), and the
 ``__main__`` CLI front door — which composes the protocol engine
 rather than implementing protocol, and whose dispatch/reporting paths
-would likewise move anchors.  Unit tests
-point the engine at throwaway trees of minimal vulnerable/fixed
-snippets instead.
-
-Scanning is embarrassingly parallel per file: with ``jobs=N`` the
-entry points fan the per-file analyses out over a process pool and
-merge the partial models back in sorted-file order, so the resulting
-:class:`CodeModel` — and every report rendered from it — is
-byte-identical to a serial run's.
+would likewise move anchors.  The sim and crypto families scan that
+layer, since it is exactly the code they guard, so ``lint --family
+all`` builds two models: one over the protocol subtree, and one that
+the sim and crypto families share.  Unit tests point the engine at
+throwaway trees of minimal vulnerable/fixed snippets instead.
 """
 
 from __future__ import annotations
@@ -82,12 +80,21 @@ __all__ = [
     "SecretRaise", "SecretDefault", "DictLiteralKey", "FunctionInfo",
     "ClassAttr", "ClassInfo", "CodeModel", "is_secret_name",
     "is_crypto_secret_name", "CRYPTO_SANITIZERS", "CRYPTO_SINK_CALLEES",
-    "analyze_source", "analyze_tree", "analyze_repro", "DEFAULT_EXCLUDES",
+    "analyze_source", "analyze_tree", "analyze_repro", "BASE_EXCLUDES",
+    "DEFAULT_EXCLUDES",
 ]
 
-#: Subtrees skipped when scanning ``src/repro`` (see module docstring).
-DEFAULT_EXCLUDES: Tuple[str, ...] = ("attacks", "lint", "check", "serve",
-                                     "load", "__main__")
+#: Subtrees both scans of ``src/repro`` skip, and all that the sim and
+#: crypto families' shared scan skips: the attack modules misuse the
+#: primitives and handle stolen keys on purpose, and the analyzers read
+#: config fields and talk about secrets without holding any.  ``serve``,
+#: ``load`` and the CLI front door stay in: they are exactly the code
+#: those two families guard.
+BASE_EXCLUDES: Tuple[str, ...] = ("attacks", "lint", "check")
+
+#: The protocol family's narrower scan (see module docstring).
+DEFAULT_EXCLUDES: Tuple[str, ...] = BASE_EXCLUDES + ("serve", "load",
+                                                     "__main__")
 
 _SECRET_EXACT: FrozenSet[str] = frozenset({
     "key", "keys", "kc", "password", "passwd", "passphrase", "subkey",
@@ -1331,84 +1338,31 @@ def analyze_source(source: str, file: str, model: CodeModel,
     _Analyzer(file, model, config_fields).visit(tree)
 
 
-def _merge_model(into: CodeModel, part: CodeModel) -> None:
-    """Append one file's partial model; caller controls the order."""
-    into.files.extend(part.files)
-    into.flows.extend(part.flows)
-    into.config_reads.extend(part.config_reads)
-    into.calls.extend(part.calls)
-    into.dotted_calls.extend(part.dotted_calls)
-    into.yields.extend(part.yields)
-    into.timer_creates.extend(part.timer_creates)
-    into.timer_cancels.extend(part.timer_cancels)
-    into.unordered_flows.extend(part.unordered_flows)
-    into.crypto_flows.extend(part.crypto_flows)
-    into.secret_returns.extend(part.secret_returns)
-    into.sink_inner_calls.extend(part.sink_inner_calls)
-    into.secret_formats.extend(part.secret_formats)
-    into.secret_compares.extend(part.secret_compares)
-    into.secret_raises.extend(part.secret_raises)
-    into.secret_defaults.extend(part.secret_defaults)
-    into.dict_literal_keys.extend(part.dict_literal_keys)
-    into.functions.extend(part.functions)
-    into.classes.extend(part.classes)
-    into.errors.extend(part.errors)
-
-
-def _file_worker(payload: Tuple[str, str, FrozenSet[str]]) -> CodeModel:
-    """Process-pool entry point: analyze one file into a fresh model."""
-    path, recorded, config_fields = payload
-    model = CodeModel()
-    analyze_source(Path(path).read_text(encoding="utf-8"), recorded, model,
-                   config_fields)
-    return model
-
-
 def analyze_tree(root: Path,
                  exclude: Sequence[str] = DEFAULT_EXCLUDES,
-                 prefix: str = "",
-                 jobs: Optional[int] = None) -> CodeModel:
-    """Analyze every ``*.py`` under *root*.
+                 prefix: str = "") -> CodeModel:
+    """Analyze every ``*.py`` under *root*, in sorted-path order.
 
     *exclude* names top-level subdirectories (``check``) or top-level
     modules (``load``, matching ``load.py``) of *root* to skip; *prefix*
     is prepended to every recorded (root-relative) path so findings can
     anchor repo-relative (e.g. ``src/repro/``).
-
-    With ``jobs=N`` (N > 1) the per-file analyses fan out over a process
-    pool of N workers; the partial models are merged back in the same
-    sorted-file order the serial walk uses, so the result is identical.
     """
     model = CodeModel()
     config_fields = _config_field_names()
     excluded = set(exclude)
-    targets: List[Tuple[str, str]] = []
     for path in sorted(root.rglob("*.py")):
         relative = path.relative_to(root)
         if relative.parts and relative.parts[0] in excluded:
             continue
         if len(relative.parts) == 1 and relative.stem in excluded:
             continue
-        targets.append((str(path), prefix + relative.as_posix()))
-
-    if jobs is not None and jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        payloads = [(path, recorded, config_fields)
-                    for path, recorded in targets]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_file_worker, payloads):
-                _merge_model(model, part)
-        return model
-
-    for path, recorded in targets:
-        analyze_source(Path(path).read_text(encoding="utf-8"), recorded,
-                       model, config_fields)
+        analyze_source(path.read_text(encoding="utf-8"),
+                       prefix + relative.as_posix(), model, config_fields)
     return model
 
 
-def analyze_repro(exclude: Sequence[str] = DEFAULT_EXCLUDES,
-                  jobs: Optional[int] = None) -> CodeModel:
+def analyze_repro(exclude: Sequence[str] = DEFAULT_EXCLUDES) -> CodeModel:
     """Analyze the installed ``repro`` package itself."""
     import repro
 
@@ -1416,4 +1370,4 @@ def analyze_repro(exclude: Sequence[str] = DEFAULT_EXCLUDES,
     if package_file is None:  # pragma: no cover - namespace-package guard
         raise RuntimeError("cannot locate the repro package on disk")
     return analyze_tree(Path(package_file).parent, exclude=exclude,
-                        prefix="src/repro/", jobs=jobs)
+                        prefix="src/repro/")

@@ -5,15 +5,25 @@ A :class:`Finding` is one (rule, protocol column) verdict anchored to a
 stable :attr:`Finding.fingerprint` — deliberately independent of the
 line number, so a baseline recorded against one revision keeps
 suppressing the same finding after unrelated edits move the anchor.
+
+A :class:`CodeRule` is the one shape of a config-independent rule (the
+sim and crypto families, and the protocol family's
+``CONFIG-FLAG-UNREAD``): its evidence query maps a scanned
+:class:`~repro.lint.engine.CodeModel` to ``(file, line, message)``
+sites, and :func:`run_code_rules` turns every site into its own
+finding under one column label and one paper section.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
-__all__ = ["Severity", "Finding", "sort_findings", "worst_severity"]
+from repro.lint.engine import CodeModel
+
+__all__ = ["Severity", "Finding", "EvidenceSite", "CodeRule",
+           "run_code_rules", "sort_findings", "worst_severity"]
 
 
 class Severity(enum.Enum):
@@ -42,8 +52,8 @@ class Finding:
     message: str
     file: str            # repo-relative anchor path
     line: int
-    column: str          # protocol column label, or "(code)" for
-                         # config-independent code findings
+    column: str          # protocol column label, or a code rule's
+                         # family label: "(code)", "(sim)", "(crypto)"
     paper_section: str
 
     @property
@@ -66,6 +76,34 @@ class Finding:
             "paper_section": self.paper_section,
             "fingerprint": self.fingerprint,
         }
+
+
+#: Where a code rule's evidence is, and what is wrong there:
+#: ``(file, line, message)``.
+EvidenceSite = Tuple[str, int, str]
+
+
+@dataclass(frozen=True)
+class CodeRule:
+    """One config-independent hazard: every evidence site is a bug."""
+
+    rule_id: str
+    severity: Severity
+    title: str
+    description: str
+    evidence: Callable[[CodeModel], List[EvidenceSite]]
+
+
+def run_code_rules(rules: Sequence[CodeRule], model: CodeModel,
+                   column: str, paper_section: str) -> List[Finding]:
+    """Every finding of *rules* over *model*, one per evidence site."""
+    return [
+        Finding(rule_id=rule.rule_id, severity=rule.severity,
+                message=message, file=file, line=line, column=column,
+                paper_section=paper_section)
+        for rule in rules
+        for file, line, message in rule.evidence(model)
+    ]
 
 
 def sort_findings(findings: Sequence[Finding]) -> List[Finding]:

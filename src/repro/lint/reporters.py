@@ -17,15 +17,13 @@ so both tools emit structurally identical logs with the shared
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.lint.findings import Finding, Severity, sort_findings
-from repro.lint.rules import (
-    RULES, UNREAD_FLAG_RULE_ID, UNREAD_FLAG_SECTION,
-)
+from repro.lint.findings import CodeRule, Finding, Severity, sort_findings
+from repro.lint.rules import CODE_RULES, RULES, UNREAD_FLAG_SECTION, Rule
 
 __all__ = ["TOOL_NAME", "TOOL_VERSION", "render_text", "render_json",
-           "render_sarif", "default_sarif_rules"]
+           "render_sarif", "sarif_rule", "default_sarif_rules"]
 
 TOOL_NAME = "repro-lint"
 TOOL_VERSION = "1.0.0"
@@ -91,33 +89,24 @@ def render_json(findings: Sequence[Finding],
 # --------------------------------------------------------------------- #
 
 
+def sarif_rule(rule: Union[Rule, CodeRule],
+               paper_section: str) -> Dict[str, Any]:
+    """One ``tool.driver.rules`` entry: a rule's metadata."""
+    return {
+        "id": rule.rule_id,
+        "name": rule.rule_id.title().replace("-", ""),
+        "shortDescription": {"text": rule.title},
+        "fullDescription": {"text": rule.description},
+        "defaultConfiguration": {"level": rule.severity.value},
+        "properties": {"paperSection": paper_section},
+    }
+
+
 def default_sarif_rules() -> List[Dict[str, Any]]:
-    """Protocol-family rule metadata for ``tool.driver.rules`` (the
-    default; ``--family sim``/``all`` pass their own via *rules*)."""
-    rules: List[Dict[str, Any]] = []
-    for rule in RULES:
-        rules.append({
-            "id": rule.rule_id,
-            "name": rule.rule_id.title().replace("-", ""),
-            "shortDescription": {"text": rule.title},
-            "fullDescription": {"text": rule.description},
-            "defaultConfiguration": {"level": rule.severity.value},
-            "properties": {"paperSection": rule.paper_section},
-        })
-    rules.append({
-        "id": UNREAD_FLAG_RULE_ID,
-        "name": "ConfigFlagUnread",
-        "shortDescription": {
-            "text": "ProtocolConfig field read nowhere in the tree",
-        },
-        "fullDescription": {
-            "text": ("A configuration knob that no protocol code "
-                     "consults is a defense that cannot be enforced."),
-        },
-        "defaultConfiguration": {"level": Severity.WARNING.value},
-        "properties": {"paperSection": UNREAD_FLAG_SECTION},
-    })
-    return rules
+    """Protocol-family rule metadata for ``tool.driver.rules``: the
+    default of :func:`render_sarif`'s *rules*."""
+    return ([sarif_rule(rule, rule.paper_section) for rule in RULES]
+            + [sarif_rule(rule, UNREAD_FLAG_SECTION) for rule in CODE_RULES])
 
 
 def _rule_index(rules: Sequence[Dict[str, Any]]) -> Dict[str, int]:

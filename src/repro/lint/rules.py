@@ -16,6 +16,11 @@ tests meaningful: pointing the engine at a "fixed" snippet tree (no
 vulnerable construct) silences the rule even under a vulnerable config,
 and a hardened config silences it even over the real tree.
 
+The one config-independent check, ``CONFIG-FLAG-UNREAD``, is a
+:class:`~repro.lint.findings.CodeRule` (:data:`CODE_RULES`) like every
+rule of the sim and crypto families, reported under
+:data:`CODE_COLUMN`.
+
 The verdicts are not a heuristic grep: ``python -m repro lint
 --consistency`` (see :mod:`repro.check.consistency`) pins each mapped
 rule to the model checker's verdict and to the live attack-matrix cell
@@ -30,11 +35,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.crypto.checksum import spec_for
 from repro.kerberos.config import ProtocolConfig
 from repro.lint.engine import CodeModel
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import (
+    CodeRule, EvidenceSite, Finding, Severity, run_code_rules,
+)
 
-__all__ = ["Rule", "RULES", "RULES_BY_ID", "CODE_COLUMN",
-           "UNREAD_FLAG_RULE_ID", "fired_rule_ids", "run_config_rules",
-           "run_code_rules", "run_all_rules"]
+__all__ = ["Rule", "RULES", "RULES_BY_ID", "CODE_COLUMN", "CODE_RULES",
+           "UNREAD_FLAG_RULE_ID", "UNREAD_FLAG_SECTION", "fired_rule_ids",
+           "run_config_rules", "run_all_rules"]
 
 #: Column label attached to config-independent (pure code) findings.
 CODE_COLUMN = "(code)"
@@ -322,9 +329,36 @@ RULES: Tuple[Rule, ...] = (
 
 RULES_BY_ID: Dict[str, Rule] = {rule.rule_id: rule for rule in RULES}
 
-#: The config-independent code rule (reported under ``CODE_COLUMN``).
 UNREAD_FLAG_RULE_ID = "CONFIG-FLAG-UNREAD"
 UNREAD_FLAG_SECTION = "Discussion"
+
+
+def _unread_flag_evidence(model: CodeModel) -> List[EvidenceSite]:
+    read_fields = {read.field for read in model.config_reads}
+    return [
+        (info.file, attr.line,
+         f"ProtocolConfig.{attr.name} is never read: the knob cannot "
+         "affect the protocol")
+        for info in model.classes if info.name == "ProtocolConfig"
+        for attr in info.attrs if attr.name not in read_fields
+    ]
+
+
+#: The config-independent code rules, reported under ``CODE_COLUMN``.
+#: ``CONFIG-FLAG-UNREAD``: a :class:`ProtocolConfig` field that no code
+#: in the scanned tree ever reads is a defense that cannot possibly be
+#: enforced — the bug class this rule exists to surface (it found the
+#: ``record_transited`` flag being ignored by the KDC referral path).
+CODE_RULES: Tuple[CodeRule, ...] = (
+    CodeRule(
+        rule_id=UNREAD_FLAG_RULE_ID,
+        severity=Severity.WARNING,
+        title="ProtocolConfig field read nowhere in the tree",
+        description=("A configuration knob that no protocol code "
+                     "consults is a defense that cannot be enforced."),
+        evidence=_unread_flag_evidence,
+    ),
+)
 
 
 # --------------------------------------------------------------------- #
@@ -361,40 +395,12 @@ def run_config_rules(model: CodeModel, config: ProtocolConfig,
     return findings
 
 
-def run_code_rules(model: CodeModel) -> List[Finding]:
-    """Config-independent checks over the scanned tree itself.
-
-    ``CONFIG-FLAG-UNREAD``: a :class:`ProtocolConfig` field that no code
-    in the scanned tree ever reads is a defense that cannot possibly be
-    enforced — the bug class this pass exists to surface (it found the
-    ``record_transited`` flag being ignored by the KDC referral path).
-    """
-    findings: List[Finding] = []
-    read_fields = {read.field for read in model.config_reads}
-    for info in model.classes:
-        if info.name != "ProtocolConfig":
-            continue
-        for attr in info.attrs:
-            if attr.name in read_fields:
-                continue
-            findings.append(Finding(
-                rule_id=UNREAD_FLAG_RULE_ID,
-                severity=Severity.WARNING,
-                message=(f"ProtocolConfig.{attr.name} is never read: the "
-                         "knob cannot affect the protocol"),
-                file=info.file,
-                line=attr.line,
-                column=CODE_COLUMN,
-                paper_section=UNREAD_FLAG_SECTION,
-            ))
-    return findings
-
-
 def run_all_rules(model: CodeModel,
                   columns: List[Tuple[str, ProtocolConfig]],
                   ) -> List[Finding]:
     """Code rules once, config rules per column."""
-    findings = run_code_rules(model)
+    findings = run_code_rules(CODE_RULES, model, CODE_COLUMN,
+                              UNREAD_FLAG_SECTION)
     for label, config in columns:
         findings.extend(run_config_rules(model, config, label))
     return findings

@@ -10,10 +10,14 @@ Engler-style static layer the protocol code got in
 
 Unlike the protocol family, these rules are **config-independent**:
 determinism is a property of the code, not of a
-:class:`~repro.kerberos.config.ProtocolConfig` column, so every finding
-is reported under the single :data:`SIM_COLUMN` label and every
-evidence site becomes its own finding (a wall-clock read on line 40
-and another on line 90 are two separate bugs to fix).
+:class:`~repro.kerberos.config.ProtocolConfig` column, so each is a
+:class:`~repro.lint.findings.CodeRule`, and
+:func:`~repro.lint.findings.run_code_rules` reports every evidence site
+as its own finding under the single :data:`SIM_COLUMN` label (a
+wall-clock read on line 40 and another on line 90 are two separate
+bugs to fix).  The family reads the model of ``src/repro`` minus
+:data:`~repro.lint.engine.BASE_EXCLUDES`, which it shares with the
+crypto family.
 
 Six rules, each backed by a fact family the engine records
 (:class:`~repro.lint.engine.DottedCall`,
@@ -66,16 +70,14 @@ twice with the same seed and asserts byte-identical reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.lint.engine import CodeModel, DottedCall
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import CodeRule, EvidenceSite, Severity
 
 __all__ = [
-    "SIM_COLUMN", "SIM_PAPER_SECTION", "SIM_SCAN_EXCLUDES",
-    "WALL_BUDGET_FILES", "SimRule", "SIM_RULES", "SIM_RULES_BY_ID",
-    "run_sim_rules", "sim_sarif_rules",
+    "SIM_COLUMN", "SIM_PAPER_SECTION", "WALL_BUDGET_FILES", "SIM_RULES",
+    "SIM_RULES_BY_ID",
 ]
 
 #: Column label on every sim-family finding (the family is
@@ -86,11 +88,6 @@ SIM_COLUMN = "(sim)"
 #: re-deriving the attack matrix; sim findings all cite that.
 SIM_PAPER_SECTION = "Reproducibility"
 
-#: Subtrees skipped when the sim family scans ``src/repro``.  Narrower
-#: than the protocol family's excludes on purpose: ``serve``, ``load``,
-#: ``obs`` and the CLI front door are exactly the code under test here.
-SIM_SCAN_EXCLUDES: Tuple[str, ...] = ("attacks", "lint", "check")
-
 #: Files allowed to read the host wall clock: their job is to measure
 #: it (and they label the result informational, outside the
 #: deterministic report surface).
@@ -100,21 +97,6 @@ WALL_BUDGET_FILES: FrozenSet[str] = frozenset({
     "src/repro/monitor.py",
     "src/repro/crack.py",
 })
-
-Evidence = Tuple[str, int, str]          # (file, line, message)
-EvidenceQuery = Callable[[CodeModel], List[Evidence]]
-
-
-@dataclass(frozen=True)
-class SimRule:
-    """One determinism/scheduler-safety hazard, as a checkable rule."""
-
-    rule_id: str
-    severity: Severity
-    title: str
-    description: str
-    evidence: EvidenceQuery
-
 
 # --------------------------------------------------------------------- #
 # evidence queries
@@ -158,8 +140,8 @@ def _is_wall_read(call: DottedCall) -> bool:
     return False
 
 
-def _wallclock_evidence(model: CodeModel) -> List[Evidence]:
-    out: List[Evidence] = []
+def _wallclock_evidence(model: CodeModel) -> List[EvidenceSite]:
+    out: List[EvidenceSite] = []
     for call in model.dotted_calls:
         if call.file in WALL_BUDGET_FILES:
             continue
@@ -172,8 +154,8 @@ def _wallclock_evidence(model: CodeModel) -> List[Evidence]:
     return sorted(out)
 
 
-def _hash_seed_evidence(model: CodeModel) -> List[Evidence]:
-    out: List[Evidence] = []
+def _hash_seed_evidence(model: CodeModel) -> List[EvidenceSite]:
+    out: List[EvidenceSite] = []
     for call in model.dotted_calls:
         parts = call.parts
         if call.dotted == "hash":
@@ -192,8 +174,8 @@ def _hash_seed_evidence(model: CodeModel) -> List[Evidence]:
     return sorted(out)
 
 
-def _unordered_evidence(model: CodeModel) -> List[Evidence]:
-    out: List[Evidence] = []
+def _unordered_evidence(model: CodeModel) -> List[EvidenceSite]:
+    out: List[EvidenceSite] = []
     for flow in model.unordered_flows:
         if flow.sink == "scheduling":
             what = ("handed to a scheduler primitive: iteration order "
@@ -208,9 +190,9 @@ def _unordered_evidence(model: CodeModel) -> List[Evidence]:
     return sorted(out)
 
 
-def _advance_evidence(model: CodeModel) -> List[Evidence]:
+def _advance_evidence(model: CodeModel) -> List[EvidenceSite]:
     processes = model.process_functions()
-    out: List[Evidence] = []
+    out: List[EvidenceSite] = []
     for call in model.dotted_calls:
         if call.parts[-1] not in _ADVANCE_CALLEES:
             continue
@@ -224,10 +206,10 @@ def _advance_evidence(model: CodeModel) -> List[Evidence]:
     return sorted(out)
 
 
-def _timer_evidence(model: CodeModel) -> List[Evidence]:
+def _timer_evidence(model: CodeModel) -> List[EvidenceSite]:
     processes = model.process_functions()
     cancelled = {(c.file, c.target) for c in model.timer_cancels}
-    out: List[Evidence] = []
+    out: List[EvidenceSite] = []
     for create in model.timer_creates:
         if (create.file, create.function) not in processes:
             continue
@@ -245,9 +227,9 @@ def _timer_evidence(model: CodeModel) -> List[Evidence]:
     return sorted(out)
 
 
-def _yield_evidence(model: CodeModel) -> List[Evidence]:
+def _yield_evidence(model: CodeModel) -> List[EvidenceSite]:
     processes = model.process_functions()
-    out: List[Evidence] = []
+    out: List[EvidenceSite] = []
     for site in model.yields:
         if site.command != "other":
             continue
@@ -266,8 +248,8 @@ def _yield_evidence(model: CodeModel) -> List[Evidence]:
 # --------------------------------------------------------------------- #
 
 
-SIM_RULES: Tuple[SimRule, ...] = (
-    SimRule(
+SIM_RULES: Tuple[CodeRule, ...] = (
+    CodeRule(
         rule_id="DET-WALLCLOCK",
         severity=Severity.ERROR,
         title="Wall-clock read outside the wall-budget allowlist",
@@ -281,7 +263,7 @@ SIM_RULES: Tuple[SimRule, ...] = (
         ),
         evidence=_wallclock_evidence,
     ),
-    SimRule(
+    CodeRule(
         rule_id="DET-HASH-SEED",
         severity=Severity.ERROR,
         title="hash() or unseeded random feeding behavior",
@@ -295,7 +277,7 @@ SIM_RULES: Tuple[SimRule, ...] = (
         ),
         evidence=_hash_seed_evidence,
     ),
-    SimRule(
+    CodeRule(
         rule_id="DET-UNORDERED-ITER",
         severity=Severity.WARNING,
         title="Unordered set iteration reaches an order-sensitive sink",
@@ -308,7 +290,7 @@ SIM_RULES: Tuple[SimRule, ...] = (
         ),
         evidence=_unordered_evidence,
     ),
-    SimRule(
+    CodeRule(
         rule_id="SCHED-ADVANCE-IN-PROCESS",
         severity=Severity.ERROR,
         title="clock.advance() called inside a scheduler process",
@@ -321,7 +303,7 @@ SIM_RULES: Tuple[SimRule, ...] = (
         ),
         evidence=_advance_evidence,
     ),
-    SimRule(
+    CodeRule(
         rule_id="SCHED-TIMER-NO-CANCEL",
         severity=Severity.WARNING,
         title="Process arms a timer with no cancellation path",
@@ -333,7 +315,7 @@ SIM_RULES: Tuple[SimRule, ...] = (
         ),
         evidence=_timer_evidence,
     ),
-    SimRule(
+    CodeRule(
         rule_id="SCHED-YIELD-NON-COMMAND",
         severity=Severity.ERROR,
         title="Scheduler process yields a non-command value",
@@ -347,43 +329,6 @@ SIM_RULES: Tuple[SimRule, ...] = (
     ),
 )
 
-SIM_RULES_BY_ID: Dict[str, SimRule] = {
+SIM_RULES_BY_ID: Dict[str, CodeRule] = {
     rule.rule_id: rule for rule in SIM_RULES
 }
-
-
-# --------------------------------------------------------------------- #
-# running rules
-# --------------------------------------------------------------------- #
-
-
-def run_sim_rules(model: CodeModel) -> List[Finding]:
-    """Every sim-family finding over *model*, one per evidence site."""
-    findings: List[Finding] = []
-    for rule in SIM_RULES:
-        for file, line, message in rule.evidence(model):
-            findings.append(Finding(
-                rule_id=rule.rule_id,
-                severity=rule.severity,
-                message=message,
-                file=file,
-                line=line,
-                column=SIM_COLUMN,
-                paper_section=SIM_PAPER_SECTION,
-            ))
-    return findings
-
-
-def sim_sarif_rules() -> List[Dict[str, Any]]:
-    """SARIF ``tool.driver.rules`` metadata for the sim family."""
-    rules: List[Dict[str, Any]] = []
-    for rule in SIM_RULES:
-        rules.append({
-            "id": rule.rule_id,
-            "name": rule.rule_id.title().replace("-", ""),
-            "shortDescription": {"text": rule.title},
-            "fullDescription": {"text": rule.description},
-            "defaultConfiguration": {"level": rule.severity.value},
-            "properties": {"paperSection": SIM_PAPER_SECTION},
-        })
-    return rules

@@ -85,7 +85,7 @@ from repro.sim.workload import DiurnalCurve, open_loop_arrivals
 from repro.testbed import Testbed
 
 __all__ = ["run_load", "render_report", "run_units", "backoff_us",
-           "RetryLoop", "LoadInputError", "LoadRun"]
+           "diurnal_curve", "RetryLoop", "LoadInputError", "LoadRun"]
 
 #: Mean time between unit arrivals on the open-loop calendar.  A unit
 #: costs ~3.0ms of simulated wire time (12 transits at 250us:
@@ -516,6 +516,21 @@ def _report(run: LoadRun, quick: bool, wall_elapsed: float,
     return report
 
 
+def diurnal_curve(requests: int, interarrival_us: int,
+                  now: int) -> DiurnalCurve:
+    """The ``--diurnal`` arrival-rate curve, in both modes.
+
+    Two compressed "days" over the expected run, anchored at *now* (the
+    clock reading when the calendar is drawn), so the surge of the
+    first peak lands mid-run — a 9am rush in miniature.  A literal
+    24-hour period would be flat across a few sim-seconds.
+    """
+    return DiurnalCurve(
+        period_us=max(1000, (requests * interarrival_us) // 2),
+        phase_us=-now,
+    )
+
+
 def _run_engine(
     shards: int, clients: int, requests: int, workers_per_shard: int,
     seed: int, faults: bool, replay_cache_capacity: int,
@@ -543,8 +558,10 @@ def _run_engine(
 
     # Open-loop arrival calendar, fixed before any traffic flows.
     calendar_rng = bed.rng.fork("load:arrivals")
-    curve = DiurnalCurve() if diurnal else None
-    first = bed.clock.now() + calendar_rng.randint(
+    now = bed.clock.now()
+    curve = (diurnal_curve(requests, interarrival_us, now) if diurnal
+             else None)
+    first = now + calendar_rng.randint(
         interarrival_us // 2, 3 * interarrival_us // 2
     )
     arrivals: List[int] = list(open_loop_arrivals(

@@ -75,7 +75,7 @@ from repro.kerberos.realm import RealmDirectory
 from repro.kerberos.validation import LruReplayCache
 from repro.obs.bus import EventBus
 from repro.obs.events import ShardUnavailable
-from repro.serve.pool import DEFAULT_US_PER_BLOCK_OP, WorkerPool
+from repro.serve.pool import WorkerPool, crypto_share_us
 from repro.serve.sharding import attempt_order, shard_of
 from repro.sim.clock import SimClock
 from repro.sim.host import Host
@@ -455,7 +455,7 @@ class KdcCluster(Frontend[ShardServer]):
             if self._clock.timeline is not None:
                 self._clock.advance(finish - arrival)
             if tracer is not None:
-                crypto_us = int(block_ops * DEFAULT_US_PER_BLOCK_OP)
+                crypto_us = crypto_share_us(block_ops)
                 tracer.end(
                     worker_span,
                     queue_wait_us=start - arrival,

@@ -34,7 +34,10 @@ that have arrived (``arrival <= now < finish``).
 
 Costs are module constants, the same for every pool and picked by
 hand, not measured: a job costs a dispatch overhead (below) plus
-:data:`DEFAULT_US_PER_BLOCK_OP` per DES block operation.
+:data:`DEFAULT_US_PER_BLOCK_OP` per DES block operation.  This module
+is the only one that prices a job: the cluster's worker spans split a
+service time with :func:`crypto_share_us`, and the scale model sizes
+its scaling-curve cells with :func:`warm_unit_cost_us`.
 
 Batching: KDC work arrives in bursts (a login is an AS and a TGS
 request back-to-back; K clients hammering the cluster overlap heavily).
@@ -66,7 +69,7 @@ from typing import Dict, List, Tuple
 
 from repro.obs.timeseries import FOLD_THRESHOLD, LogHistogram
 
-__all__ = ["WorkerPool"]
+__all__ = ["WorkerPool", "crypto_share_us", "warm_unit_cost_us"]
 
 #: Fixed dispatch cost for a cold request, in microseconds.
 DEFAULT_OVERHEAD_US = 120
@@ -76,6 +79,18 @@ DEFAULT_BATCH_OVERHEAD_US = 30
 DEFAULT_BATCH_WINDOW_US = 500
 #: Marginal cost per DES block operation on the table-driven fast path.
 DEFAULT_US_PER_BLOCK_OP = 2.0
+
+
+def crypto_share_us(block_ops: int) -> int:
+    """The DES share of a job's service time, in microseconds."""
+    return int(block_ops * DEFAULT_US_PER_BLOCK_OP)
+
+
+def warm_unit_cost_us(*block_ops: int) -> int:
+    """Service time of a unit whose requests (one per *block_ops*
+    entry) each ride a warm batch window, in microseconds."""
+    return sum(DEFAULT_BATCH_OVERHEAD_US + crypto_share_us(ops)
+               for ops in block_ops)
 
 
 #: ``_last_start`` before the first job: no batch is open.

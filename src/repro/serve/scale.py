@@ -70,19 +70,16 @@ from repro.kerberos.kdc import AS_SERVICE, TGS_SERVICE
 from repro.kerberos.messages import ERR_UNAVAILABLE
 from repro.kerberos.validation import LruReplayCache
 from repro.load import (
-    Finish, LoadRun, RetryLoop, cluster_sampler, fault_window, run_units,
+    Finish, LoadRun, RetryLoop, cluster_sampler, diurnal_curve,
+    fault_window, run_units,
 )
 from repro.obs.timeseries import LogHistogram, TickSampler
 from repro.serve.cluster import Frontend, Shard
-from repro.serve.pool import (
-    DEFAULT_BATCH_OVERHEAD_US, DEFAULT_US_PER_BLOCK_OP, WorkerPool,
-)
+from repro.serve.pool import WorkerPool, warm_unit_cost_us
 from repro.serve.sharding import shard_of
 from repro.sim.clock import MINUTE, SECOND, SimClock
 from repro.sim.sched import Scheduler, wait
-from repro.sim.workload import (
-    DiurnalCurve, ZipfianGenerator, open_loop_arrivals,
-)
+from repro.sim.workload import ZipfianGenerator, open_loop_arrivals
 from repro.testbed import DEFAULT_REALM, Testbed
 
 __all__ = ["run_scale_model", "calibrate"]
@@ -302,14 +299,8 @@ def _run_model_once(
     sampler = (cluster_sampler(clock, model, lambda: retry.retries,
                                interarrival_us)
                if gauges else TickSampler(clock))
-    curve = None
-    if diurnal:
-        # Two compressed "days" over the expected run, so the surge of
-        # the first peak lands mid-run — a 9am rush in miniature.  A
-        # literal 24-hour period would be flat across a few sim-seconds.
-        curve = DiurnalCurve(
-            period_us=max(1000, (requests * interarrival_us) // 2)
-        )
+    curve = (diurnal_curve(requests, interarrival_us, clock.now())
+             if diurnal else None)
     arrivals = list(open_loop_arrivals(
         seed_rng.fork("arrivals"), requests, interarrival_us,
         diurnal=curve, start=interarrival_us,
@@ -428,9 +419,8 @@ def run_scale_model(
     # (from the calibrated batched per-unit CPU cost), so every cell —
     # including the largest — genuinely saturates and completed/elapsed
     # measures what the cell can do, not what it was fed.
-    unit_cpu_us = 2 * DEFAULT_BATCH_OVERHEAD_US + int(
-        (cal["as_block_ops"] + cal["tgs_block_ops"]) * DEFAULT_US_PER_BLOCK_OP
-    )
+    unit_cpu_us = warm_unit_cost_us(cal["as_block_ops"],
+                                    cal["tgs_block_ops"])
     cells: List[Dict[str, Any]] = []
     for (cell_shards, cell_workers), rng, ranks in zip(
             grid, cell_rngs, cell_ranks):

@@ -2,7 +2,8 @@
 
 Each case in ``tools/golden.py`` renders a deterministic output — the
 canonical report of a load or monitor run, the attack-matrix and
-tri-consistency renders, the wire bytes of one fixed exchange — and
+tri-consistency renders, the wire bytes of one fixed exchange, the
+SARIF log of ``lint --family all`` — and
 ``tests/golden/`` holds the committed copy.  A failure prints every
 changed field as a markdown table (path, old value, new value).  When
 the change is intended, rewrite the files with

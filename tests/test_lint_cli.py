@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.lint.cli import resolve_columns, run_lint, run_witness
 from repro.obs import capture, event_from_dict
 from repro.obs.events import LintFinding
@@ -269,6 +271,26 @@ def test_family_all_concatenates_three_scans(tmp_path):
     assert "DET-WALLCLOCK" in text
     assert "NO-PREAUTH" in text
     assert "CRYPTO-UNSEALED-FIELD" in text
+
+
+@pytest.mark.parametrize("family, scans", [
+    ("protocol", 1), ("sim", 1), ("crypto", 1), ("all", 2),
+])
+def test_each_subtree_is_scanned_once(monkeypatch, family, scans):
+    """The sim and crypto families share one model, so ``all`` scans
+    the protocol subtree once and the wider shared subtree once."""
+    import repro.lint.cli as cli
+
+    calls = []
+    real = cli.analyze_repro
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "analyze_repro", counting)
+    run(family=family, fail_on="never")
+    assert len(calls) == scans
 
 
 def test_crypto_family_live_tree_is_clean_modulo_baseline():

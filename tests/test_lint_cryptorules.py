@@ -11,12 +11,14 @@ baselined finding (the paper's credential-cache exposure in
 import pytest
 
 from repro.lint.engine import (
-    CodeModel, analyze_repro, analyze_source, is_crypto_secret_name,
+    BASE_EXCLUDES, CodeModel, analyze_repro, analyze_source,
+    is_crypto_secret_name,
 )
 from repro.lint.cryptorules import (
-    CRYPTO_COLUMN, CRYPTO_RULES, CRYPTO_RULES_BY_ID, CRYPTO_SCAN_EXCLUDES,
-    ECB_ALLOWED_FILES, run_crypto_rules, sealed_secret_fields,
+    CRYPTO_COLUMN, CRYPTO_PAPER_SECTION, CRYPTO_RULES, CRYPTO_RULES_BY_ID,
+    ECB_ALLOWED_FILES, sealed_secret_fields,
 )
+from repro.lint.findings import run_code_rules
 
 
 def model_of(source, file="snippet.py"):
@@ -98,7 +100,8 @@ def test_no_cross_fire(rule_id):
     """A rule's vulnerable snippet trips only its own rule: the
     fixtures are minimal, so any extra finding is a precision bug."""
     vuln_src, _fixed = CASES[rule_id]
-    findings = run_crypto_rules(model_of(vuln_src))
+    findings = run_code_rules(CRYPTO_RULES, model_of(vuln_src),
+                              CRYPTO_COLUMN, CRYPTO_PAPER_SECTION)
     assert {f.rule_id for f in findings} == {rule_id}
     assert all(f.column == CRYPTO_COLUMN for f in findings)
 
@@ -217,8 +220,9 @@ def test_rule_metadata_is_complete():
 def test_live_tree_is_clean_modulo_the_baseline():
     """src/repro scans clean under the crypto family except the one
     baselined finding: the paper's credential-cache exposure."""
-    model = analyze_repro(exclude=CRYPTO_SCAN_EXCLUDES)
-    findings = run_crypto_rules(model)
+    model = analyze_repro(exclude=BASE_EXCLUDES)
+    findings = run_code_rules(CRYPTO_RULES, model, CRYPTO_COLUMN,
+                              CRYPTO_PAPER_SECTION)
     assert [f.fingerprint for f in findings] == [
         "CRYPTO-UNSEALED-FIELD::(crypto)::src/repro/kerberos/ccache.py",
     ]

@@ -1,8 +1,8 @@
 """The lint engine: taint tracking, config reads, tree scanning."""
 
 from repro.lint.engine import (
-    CodeModel, DEFAULT_EXCLUDES, analyze_source, analyze_tree,
-    is_secret_name,
+    CodeModel, DEFAULT_EXCLUDES, analyze_repro, analyze_source,
+    analyze_tree, is_secret_name,
 )
 
 
@@ -198,6 +198,14 @@ def test_analyze_tree_excludes_subtrees(tmp_path):
     model = analyze_tree(tmp_path, exclude=DEFAULT_EXCLUDES)
     assert model.files == ["core/a.py"]
     assert len(model.reads_of("replay_cache")) == 1
+
+
+def test_check_subtree_is_excluded_from_the_scan():
+    """The checker reads config fields; scanning it would shift every
+    lint anchor and invalidate the committed baseline."""
+    model = analyze_repro()
+    assert not any(f.startswith("src/repro/check/") for f in model.files)
+    assert any(f.startswith("src/repro/kerberos/") for f in model.files)
 
 
 def test_analyze_tree_prefix(tmp_path):

@@ -140,10 +140,13 @@ def family_findings():
 
 
 def merged_rule_metadata():
-    from repro.lint.cryptorules import crypto_sarif_rules
-    from repro.lint.reporters import default_sarif_rules
-    from repro.lint.simrules import sim_sarif_rules
-    return default_sarif_rules() + sim_sarif_rules() + crypto_sarif_rules()
+    from repro.lint.cryptorules import CRYPTO_PAPER_SECTION, CRYPTO_RULES
+    from repro.lint.reporters import default_sarif_rules, sarif_rule
+    from repro.lint.simrules import SIM_PAPER_SECTION, SIM_RULES
+    return (default_sarif_rules()
+            + [sarif_rule(rule, SIM_PAPER_SECTION) for rule in SIM_RULES]
+            + [sarif_rule(rule, CRYPTO_PAPER_SECTION)
+               for rule in CRYPTO_RULES])
 
 
 def test_text_renders_every_family_column():
@@ -200,8 +203,9 @@ def test_sarif_family_anchors_resolve_in_the_working_tree():
 
 
 def test_sarif_crypto_metadata_names_the_paper_section():
-    from repro.lint.cryptorules import crypto_sarif_rules
-    rules = crypto_sarif_rules()
+    from repro.lint.cryptorules import CRYPTO_PAPER_SECTION, CRYPTO_RULES
+    from repro.lint.reporters import sarif_rule
+    rules = [sarif_rule(rule, CRYPTO_PAPER_SECTION) for rule in CRYPTO_RULES]
     assert len(rules) == 6
     for rule in rules:
         assert rule["id"].startswith("CRYPTO-")

@@ -13,7 +13,7 @@ from repro.kerberos.config import ProtocolConfig
 from repro.lint.engine import CodeModel, analyze_repro, analyze_source
 from repro.lint.rules import (
     CODE_COLUMN, RULES, RULES_BY_ID, UNREAD_FLAG_RULE_ID, fired_rule_ids,
-    run_all_rules, run_code_rules, run_config_rules,
+    run_all_rules, run_config_rules,
 )
 from repro.suite import SCENARIOS
 
@@ -172,7 +172,7 @@ def test_unread_config_flag_reported():
         "    return config.replay_cache\n",
         file="config.py",
     )
-    findings = run_code_rules(model)
+    findings = run_all_rules(model, [])
     assert [f.rule_id for f in findings] == [UNREAD_FLAG_RULE_ID]
     assert "dh_login" in findings[0].message
     assert findings[0].column == CODE_COLUMN

@@ -10,11 +10,13 @@ under the sim family, which is what lets CI run it with no baseline.
 
 import pytest
 
-from repro.lint.engine import CodeModel, analyze_repro, analyze_source
-from repro.lint.findings import Severity
+from repro.lint.engine import (
+    BASE_EXCLUDES, CodeModel, analyze_repro, analyze_source,
+)
+from repro.lint.findings import Severity, run_code_rules
 from repro.lint.simrules import (
-    SIM_COLUMN, SIM_RULES, SIM_RULES_BY_ID, SIM_SCAN_EXCLUDES,
-    WALL_BUDGET_FILES, run_sim_rules,
+    SIM_COLUMN, SIM_PAPER_SECTION, SIM_RULES, SIM_RULES_BY_ID,
+    WALL_BUDGET_FILES,
 )
 
 
@@ -122,7 +124,8 @@ def test_no_cross_fire(rule_id):
     """A rule's vulnerable snippet trips only its own rule: the
     fixtures are minimal, so any extra finding is a precision bug."""
     vuln_src, _fixed = CASES[rule_id]
-    findings = run_sim_rules(model_of(vuln_src))
+    findings = run_code_rules(SIM_RULES, model_of(vuln_src), SIM_COLUMN,
+                              SIM_PAPER_SECTION)
     assert {f.rule_id for f in findings} == {rule_id}
 
 
@@ -236,7 +239,8 @@ def test_findings_one_per_evidence_site():
            "    return time.time()\n"
            "def b():\n"
            "    return time.perf_counter()\n")
-    findings = run_sim_rules(model_of(src))
+    findings = run_code_rules(SIM_RULES, model_of(src), SIM_COLUMN,
+                              SIM_PAPER_SECTION)
     assert [f.rule_id for f in findings] == ["DET-WALLCLOCK"] * 2
     assert len({f.line for f in findings}) == 2
     for f in findings:
@@ -247,6 +251,7 @@ def test_findings_one_per_evidence_site():
 def test_live_tree_scans_clean():
     """src/repro itself carries no determinism hazards: this is the
     invariant that lets CI run the sim family with no baseline."""
-    model = analyze_repro(exclude=SIM_SCAN_EXCLUDES)
+    model = analyze_repro(exclude=BASE_EXCLUDES)
     assert model.errors == []
-    assert run_sim_rules(model) == []
+    assert run_code_rules(SIM_RULES, model, SIM_COLUMN,
+                          SIM_PAPER_SECTION) == []

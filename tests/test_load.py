@@ -139,6 +139,28 @@ def test_gentle_arrivals_stay_uncongested():
         <= report["queueing"]["cluster_service_us"]["max"]
 
 
+def test_engine_diurnal_curve_bunches_arrivals(monkeypatch):
+    """``--diurnal`` compresses two days into an engine-mode run, as in
+    scale mode: the busiest 24-arrival window of the calendar is far
+    denser than the quietest (a flat calendar gives ~0.8)."""
+    import repro.load as load
+
+    calendars = []
+    real = load.open_loop_arrivals
+
+    def capture(*args, **kwargs):
+        arrivals = list(real(*args, **kwargs))
+        calendars.append(arrivals)
+        return iter(arrivals)
+
+    monkeypatch.setattr(load, "open_loop_arrivals", capture)
+    run_load(seed=0, diurnal=True, faults=False, out_path=None)
+    (arrivals,) = calendars
+    spans = [later - earlier
+             for earlier, later in zip(arrivals, arrivals[23:])]
+    assert min(spans) / max(spans) < 0.6
+
+
 def test_rejects_unsharded_bed():
     with pytest.raises(ValueError):
         run_load(quick=True, shards=1, out_path=None)

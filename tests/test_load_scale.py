@@ -174,6 +174,18 @@ def test_frontier_cells_are_pareto_optimal(report):
         assert not dominated
 
 
+def test_wide_scaling_curve_grid_runs_every_cell():
+    """``--scaling-curve`` sweeps the full 5 x 4 shards x workers grid."""
+    report = run_load(principals=2000, requests=60, scaling_curve=True,
+                      out_path=None)
+    cells = report["scaling_curve"]["cells"]
+    assert [(c["shards"], c["workers_per_shard"]) for c in cells] == \
+        scale.WIDE_CURVE_GRID
+    assert len(cells) == 20
+    assert all(cell["completed"] == 60 for cell in cells)
+    assert any(cell["frontier"] for cell in cells)
+
+
 # -- determinism ---------------------------------------------------------
 
 def _stable_fields(report):

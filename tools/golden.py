@@ -14,7 +14,10 @@ committed copy, and ``tests/test_golden.py`` fails on any difference.
 * the attack-matrix render and the tri-consistency render;
 * the wire bytes and ``BLOCK_OPS`` count of one fixed exchange (login,
   service ticket, AP exchange and one private ``COUNT`` call on a V5
-  Draft 3 testbed).
+  Draft 3 testbed);
+* the SARIF log of ``lint --family all --baseline lint-baseline.json``
+  with each result's ``region.startLine`` dropped, so an edit that only
+  moves a finding's anchor line leaves it alone.
 
 On a mismatch :func:`field_diff` prints one row per changed field
 (path, old value, new value) as a markdown table, ready to paste into a
@@ -105,6 +108,19 @@ def _exchange() -> str:
     return json.dumps(record, indent=1) + "\n"
 
 
+def _lint_sarif() -> str:
+    from repro.lint.cli import run_lint
+
+    lines: List[str] = []
+    run_lint(fmt="sarif", family="all",
+             baseline=str(ROOT / "lint-baseline.json"), echo=lines.append)
+    log = json.loads("\n".join(lines))
+    for result in log["runs"][0]["results"]:
+        for location in result["locations"]:
+            del location["physicalLocation"]["region"]["startLine"]
+    return json.dumps(log, indent=1, sort_keys=True) + "\n"
+
+
 #: Case name -> (file under tests/golden/, renderer).
 CASES: Dict[str, Tuple[str, Callable[[], str]]] = {
     "load-engine-quick": (
@@ -123,6 +139,7 @@ CASES: Dict[str, Tuple[str, Callable[[], str]]] = {
     "attack-matrix": ("attack_matrix.txt", _matrix_render),
     "tri-consistency": ("tri_consistency.txt", _tri_render),
     "exchange-wire": ("exchange_v5_draft3_seed0.json", _exchange),
+    "lint-sarif": ("lint_all_baselined.sarif.json", _lint_sarif),
 }
 
 
