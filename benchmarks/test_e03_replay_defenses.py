@@ -8,8 +8,9 @@ retained server state.
 
 from repro import Testbed, ProtocolConfig
 from repro.analysis import render_table
-from repro.attacks import mail_check_capture, replay_ap_request
-from repro.defenses.replay_cache import udp_retransmission_false_alarm
+from repro.attacks import (
+    mail_check_capture, replay_ap_request, udp_retransmission_false_alarm,
+)
 
 VARIANTS = [
     ("none", ProtocolConfig.v4()),

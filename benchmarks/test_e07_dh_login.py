@@ -9,9 +9,8 @@ beyond.
 """
 
 from repro import Testbed, ProtocolConfig
-from repro.analysis import render_table
+from repro.analysis import cost_security_tradeoff, render_table
 from repro.attacks import dh_active_mitm, dh_passive_break, offline_dictionary_attack
-from repro.defenses.dh_login import cost_security_tradeoff
 
 DICT = ["123456", "password", "letmein", "qwerty"]
 BIT_SIZES = [16, 20, 24, 28, 32, 40, 64, 128, 256]

@@ -9,7 +9,7 @@ one ticket's key across concurrent sessions.
 
 from repro import Testbed, ProtocolConfig
 from repro.analysis import render_table
-from repro.defenses.session_keys import cross_session_replay
+from repro.attacks import cross_session_replay
 
 VARIANTS = [
     ("multi-session key (draft 3)", ProtocolConfig.v5_draft3()),

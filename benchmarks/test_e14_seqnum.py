@@ -9,9 +9,8 @@ coarse" — rapid senders collide with their own earlier messages.
 """
 
 from repro import Testbed, ProtocolConfig
-from repro.analysis import render_table
-from repro.defenses.seqnum import cache_growth, deletion_detection
-from repro.defenses.session_keys import cross_session_replay
+from repro.analysis import cache_growth, render_table
+from repro.attacks import cross_session_replay, deletion_detection
 from repro.kerberos.client import KerberosError
 
 MESSAGE_COUNTS = [10, 40, 160]

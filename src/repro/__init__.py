@@ -8,13 +8,14 @@ The package implements, from scratch:
 * :mod:`repro.encoding` — V4's untyped packing and a typed DER subset;
 * :mod:`repro.sim` — the open network, hosts, clocks, time services;
 * :mod:`repro.kerberos` — Kerberos V4, V5-Draft-2/3, and the paper's
-  hardened variant, selected by :class:`ProtocolConfig`;
+  hardened variant, selected by :class:`ProtocolConfig`, whose knobs
+  are the paper's recommended changes;
 * :mod:`repro.attacks` — every attack the paper describes, executable;
-* :mod:`repro.defenses` — every recommended change, demonstrable;
 * :mod:`repro.hardware` — the encryption unit, keystore, handheld
   authenticator, and random-number service;
-* :mod:`repro.analysis` — workloads, cracking statistics, cost
-  accounting, and the adversarial encryption-layer validation game;
+* :mod:`repro.analysis` — workloads, cracking statistics, the cost of
+  each recommended change, and the adversarial encryption-layer
+  validation game;
 * :mod:`repro.obs` — defender-side telemetry: the structured event
   bus, metrics registry, and per-exchange audit trails that answer
   "what would an IDS have seen?" for every attack run;

@@ -507,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--write-baseline", metavar="PATH",
-        help="accept every current finding into PATH and exit "
+        help="accept every current finding of every family and column "
+             "into PATH, whatever --family and --column say, and exit "
              "(refreshing an existing baseline keeps its hand-written "
              "justifications and drops retired entries)",
     )

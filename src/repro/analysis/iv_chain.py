@@ -8,12 +8,12 @@
     interested applications.  ...  (Such chaining avoids both the
     dependence on a clock and the need to cache recent timestamps.)"
 
-The demonstrations here compare per-channel replay protection across
+:func:`comparison_rows` compares per-channel replay protection across
 the three mechanisms the paper weighs — timestamps (+cache), sequence
 numbers, chained IVs — on the axes the paper names: replay, deletion,
 clock dependence, and retained state.
 
-One nuance the experiments surface honestly: chained IVs derived from a
+One nuance the comparison surfaces honestly: chained IVs derived from a
 *shared multi-session key* still allow cross-session substitution at
 matching chain positions; the chain composes with true session keys
 (rec. e) rather than replacing them.
@@ -25,7 +25,6 @@ from typing import List, Tuple
 
 from repro.attacks.base import AttackResult
 from repro.crypto.rng import DeterministicRandom
-from repro.defenses.base import DefenseReport
 from repro.kerberos.config import ProtocolConfig
 from repro.kerberos.session import (
     DIR_CLIENT_TO_SERVER, DIR_SERVER_TO_CLIENT, ChannelError,
@@ -33,8 +32,7 @@ from repro.kerberos.session import (
 )
 from repro.sim.clock import MINUTE, SimClock
 
-__all__ = ["CHAINED", "channel_replay_outcome", "demonstrate",
-           "comparison_rows"]
+__all__ = ["CHAINED", "channel_replay_outcome", "comparison_rows"]
 
 KEY = bytes.fromhex("133457799BBCDFF1")
 
@@ -121,39 +119,14 @@ def comparison_rows() -> List[Tuple[str, str, str, str, str]]:
     ]
     rows = []
     for label, config in variants:
+        retained = _retained_state(config)
         rows.append((
             label,
             "blocked" if not channel_replay_outcome(config).succeeded
             else "EXECUTED",
             "detected" if _deletion_noticed(config) else "UNDETECTED",
             "yes" if _clock_free(config) else "no (skew window)",
-            f"{_retained_state(config)} entr"
-            + ("y" if _retained_state(config) == 1 else "ies"),
+            f"{retained} entr" + ("y" if retained == 1 else "ies"),
         ))
     return rows
 
-
-def _deletion_result(config: ProtocolConfig) -> AttackResult:
-    noticed = _deletion_noticed(config)
-    return AttackResult(
-        "silent-deletion",
-        not noticed,
-        "deletion went unnoticed" if not noticed
-        else "receiver detected the gap",
-    )
-
-
-def demonstrate(seed: int = 0) -> DefenseReport:
-    """Silent message deletion: timestamps tolerate it, the chain
-    detects it ('this scheme would also allow detection of message
-    deletions')."""
-    return DefenseReport(
-        name="chained initialization vectors",
-        recommendation="d (appendix)",
-        vulnerable=_deletion_result(
-            ProtocolConfig.v5_draft3().but(krb_priv_layout="v4")
-        ),
-        defended=_deletion_result(CHAINED),
-        cost={"state": "one counter per direction",
-              "clock_dependence": "none"},
-    )

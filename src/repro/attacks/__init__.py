@@ -26,7 +26,8 @@ from repro.attacks.password_guess import (
 )
 from repro.attacks.pcbc import garble_profile, tamper_private_message
 from repro.attacks.replay import (
-    mail_check_capture, replay_ap_request, replay_data_message,
+    cross_session_replay, deletion_detection, mail_check_capture,
+    replay_ap_request, replay_data_message, udp_retransmission_false_alarm,
 )
 from repro.attacks.rogue_realm import forge_foreign_client
 from repro.attacks.time_spoof import spoof_time_and_replay
@@ -37,6 +38,8 @@ __all__ = [
     "concurrent_cache_theft",
     "crack_sealed_tickets",
     "craft_authenticator_plaintext",
+    "cross_session_replay",
+    "deletion_detection",
     "dh_active_mitm",
     "dh_passive_break",
     "enc_tkt_in_skey_attack",
@@ -58,5 +61,6 @@ __all__ = [
     "tamper_private_message",
     "ticket_substitution",
     "trojan_capture",
+    "udp_retransmission_false_alarm",
     "wire_capture_theft",
 ]

@@ -79,7 +79,8 @@ class ReplayCache:
     The UDP-retransmission problem the paper raises is real here too: a
     *legitimate* retransmission of the same request is indistinguishable
     from a replay and will be rejected; callers model retransmission by
-    re-sending the same bytes (see ``repro.defenses.replay_cache``).
+    re-sending the same bytes (see
+    :func:`repro.attacks.replay.udp_retransmission_false_alarm`).
     """
 
     def __init__(self) -> None:

@@ -183,7 +183,11 @@ def run_lint(
     ``crypto`` (key-material flow into output surfaces), or ``all``.
     The protocol family scans a narrower subtree than the other two,
     which share one scan, so ``all`` scans the tree twice.
+    ``write_baseline_path`` ignores both selections.
     """
+    if write_baseline_path is not None:
+        # One baseline file holds every family and column.
+        family = column = "all"
     if family not in FAMILIES:
         echo(f"unknown family {family!r}; choose protocol, sim, crypto, "
              "or all")

@@ -20,7 +20,7 @@ adversary."  This module is that threat model, made concrete:
 Delivery is synchronous and deterministic; the interesting
 nondeterminism of a real network (reordering, loss) is modelled where a
 specific attack needs it (e.g. the UDP retransmission false-positive in
-:mod:`repro.defenses.replay_cache`).  Under the discrete-event
+:func:`repro.attacks.replay.udp_retransmission_false_alarm`).  Under the discrete-event
 scheduler (:mod:`repro.sim.sched`) the same synchronous code runs
 unchanged inside events: each wire transit's ``clock.advance`` lands in
 the running event's :class:`repro.sim.clock.EventTimeline`, so

@@ -1,15 +1,10 @@
-"""The chained-IV defense module and its honest limits."""
+"""The chained-IV comparison and its honest limits."""
 
 import pytest
 
-from repro.defenses.iv_chain import (
-    CHAINED, channel_replay_outcome, comparison_rows, demonstrate,
+from repro.analysis.iv_chain import (
+    CHAINED, channel_replay_outcome, comparison_rows,
 )
-
-
-def test_demonstration_effective():
-    report = demonstrate()
-    assert report.effective, report.render()
 
 
 def test_comparison_rows_shape():

@@ -3,7 +3,8 @@
 Three gates, mirroring the CI ``docs`` job:
 
 * every relative link and ``#anchor`` in README.md and docs/*.md
-  resolves (``tools/linkcheck.py``);
+  resolves, and so does every repo path named in an inline code span
+  (``tools/linkcheck.py``);
 * the CLI option tables in docs/cli.md match the live argparse tree
   (``repro.clidoc``) — regenerate with ``python -m repro.clidoc
   --write`` after changing a flag;
@@ -46,6 +47,23 @@ def test_linkcheck_catches_breakage(tmp_path, capsys):
     assert linkcheck.main([str(bad)]) == 1
     out = capsys.readouterr().out
     assert "missing.md" in out and "#absent" in out and "#title" not in out
+
+
+def test_linkcheck_catches_missing_code_span_paths(tmp_path, capsys):
+    doc = tmp_path / "paths.md"
+    doc.write_text(
+        "# Title\n\n"
+        "`repro/gone/module.py` `kerberos/validation.py::ReplayCache`"
+        " `tools/linkcheck.py` `replay-cache/check`\n\n"
+        "```console\n`fenced/missing.py`\n```\n",
+        encoding="utf-8",
+    )
+    linkcheck = _load_linkcheck()
+    assert linkcheck.main([str(doc)]) == 1
+    out = capsys.readouterr().out
+    assert "repro/gone/module.py" in out
+    assert "validation.py" not in out and "linkcheck.py'" not in out
+    assert "replay-cache" not in out and "fenced/missing.py" not in out
 
 
 def test_linkcheck_ignores_fenced_code(tmp_path, capsys):

@@ -102,7 +102,9 @@ def test_write_baseline_then_suppress(tmp_path):
     code, text = run(tmp_path, column="v4",
                      write_baseline_path=str(baseline))
     assert code == 0
-    assert "wrote 2 suppressions" in text
+    # The write covers every column (v4 and v5-draft3 find two each);
+    # the v4 run below uses its two.
+    assert "wrote 4 suppressions" in text
 
     code, text = run(root=str(tmp_path), column="v4",
                      baseline=str(baseline))
@@ -402,7 +404,7 @@ def test_refresh_preserves_hand_written_reasons(tmp_path):
     code, text = run(root=root, column="v4",
                      write_baseline_path=str(baseline))
     assert code == 0
-    assert "wrote 2 suppressions" in text
+    assert "wrote 4 suppressions" in text
     reasons = reasons_of(baseline)
     assert reasons["NO-PREAUTH::v4::proto.py"] == \
         "hand-written: preauth lands in E5"
@@ -414,7 +416,7 @@ def test_refresh_drops_retired_entries(tmp_path):
     baseline = tmp_path / "baseline.json"
     root = snippet_tree(tmp_path)
     run(root=root, column="v4", write_baseline_path=str(baseline))
-    assert len(reasons_of(baseline)) == 2
+    assert len(reasons_of(baseline)) == 4
 
     # Retire the rule-id itself: refresh must not choke on it.
     payload = json.loads(baseline.read_text())
@@ -439,7 +441,8 @@ def test_refresh_gives_new_findings_the_default_reason(tmp_path):
     source = "def check(config):\n    return config.preauth_required\n"
     root = snippet_tree(tmp_path, source)
     run(root=root, column="v4", write_baseline_path=str(baseline))
-    assert set(reasons_of(baseline)) == {"NO-PREAUTH::v4::proto.py"}
+    assert set(reasons_of(baseline)) == {"NO-PREAUTH::v4::proto.py",
+                                         "NO-PREAUTH::v5-draft3::proto.py"}
 
     (Path(root) / "proto.py").write_text(VULNERABLE)
     code, _text = run(root=root, column="v4",
@@ -447,8 +450,28 @@ def test_refresh_gives_new_findings_the_default_reason(tmp_path):
     assert code == 0
     reasons = reasons_of(baseline)
     assert set(reasons) == {"NO-PREAUTH::v4::proto.py",
-                            "NO-REPLAY-CACHE::v4::proto.py"}
+                            "NO-REPLAY-CACHE::v4::proto.py",
+                            "NO-PREAUTH::v5-draft3::proto.py",
+                            "NO-REPLAY-CACHE::v5-draft3::proto.py"}
     assert "intentionally" in reasons["NO-REPLAY-CACHE::v4::proto.py"]
+
+
+@pytest.mark.parametrize("family,column", [
+    ("protocol", "all"), ("crypto", "all"), ("all", "v4"),
+])
+def test_refresh_keeps_every_family_and_column(tmp_path, family, column):
+    """One baseline file holds every family and column, so refreshing
+    the committed one under any selection rewrites all of its entries,
+    hand-written reasons included."""
+    committed = REPO_ROOT / "lint-baseline.json"
+    copy = tmp_path / "baseline.json"
+    copy.write_text(committed.read_text())
+    code, _text = run(family=family, column=column,
+                      write_baseline_path=str(copy))
+    assert code == 0
+    # A set: a refresh writes in finding order, not the file's order.
+    assert set(reasons_of(copy).items()) == \
+        set(reasons_of(committed).items())
 
 
 def test_refresh_with_corrupt_existing_baseline_exits_2(tmp_path):

@@ -7,12 +7,16 @@ Walks README.md and docs/*.md and verifies, without any network:
   heading in the target document, using GitHub's slug rules
   (lowercase, punctuation stripped, spaces to hyphens, ``-2`` suffixes
   for duplicates);
-* reference-style definitions are not left dangling.
+* reference-style definitions are not left dangling;
+* inline code spans that name a repo path — at least one ``/``, then a
+  file name ending ``.py``, ``.md``, ``.json``, ``.txt``, ``.yml`` or
+  ``.toml``, or a trailing ``/``, optionally followed by ``::name`` —
+  exist under the repository root, ``src/`` or ``src/repro/``.
 
 External links (``http://``, ``https://``, ``mailto:``) are skipped:
-CI must not depend on the weather of the public internet.  Links
-inside fenced code blocks are ignored — those are example output, not
-navigation.
+CI must not depend on the weather of the public internet.  Links and
+code spans inside fenced code blocks are ignored — those are example
+output, not navigation.
 
 Usage::
 
@@ -20,7 +24,7 @@ Usage::
 
 With no arguments, checks README.md plus every ``docs/*.md`` relative
 to the repository root (the parent of this script's directory).
-Exits 1 listing every broken link, 0 when all resolve.
+Exits 1 listing every broken link or path, 0 when all resolve.
 """
 
 from __future__ import annotations
@@ -43,6 +47,11 @@ _LINK = re.compile(r"(?<!\!)\[[^\]^\[]*\]\(([^()\s]+(?:\([^()]*\))?)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$")
 _FENCE = re.compile(r"^(```|~~~)")
 _EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
+_CODE_SPAN = re.compile(r"`([^`]+)`")
+_REPO_PATH = re.compile(
+    r"([\w.-]+/(?:[\w.-]+/)*(?:[\w.-]+\.(?:py|md|json|txt|yml|toml))?)"
+    r"(?:::\w+)?")
+_PATH_BASES = (ROOT, ROOT / "src", ROOT / "src" / "repro")
 
 
 def github_slug(heading: str, seen: Dict[str, int]) -> str:
@@ -85,9 +94,24 @@ def links_of(path: pathlib.Path) -> List[Tuple[int, str]]:
     return found
 
 
+def repo_paths_of(path: pathlib.Path) -> List[Tuple[int, str]]:
+    """(line, path) for each inline code span that names a repo path."""
+    found: List[Tuple[int, str]] = []
+    lines = _strip_fences(path.read_text(encoding="utf-8").splitlines())
+    for number, line in enumerate(lines, start=1):
+        for span in _CODE_SPAN.finditer(line):
+            match = _REPO_PATH.fullmatch(span.group(1).strip())
+            if match:
+                found.append((number, match.group(1)))
+    return found
+
+
 def check_file(path: pathlib.Path, anchor_cache: Dict[pathlib.Path, Set[str]]
                ) -> List[str]:
     problems: List[str] = []
+    for line, named in repo_paths_of(path):
+        if not any((base / named).exists() for base in _PATH_BASES):
+            problems.append(f"{_label(path)}:{line}: missing path {named!r}")
     for line, target in links_of(path):
         if target.startswith(_EXTERNAL):
             continue
@@ -123,9 +147,10 @@ def main(argv: List[str]) -> int:
         print(problem)
     checked = ", ".join(_label(f) for f in files)
     if problems:
-        print(f"\nlinkcheck: {len(problems)} broken link(s) in {checked}")
+        print(f"\nlinkcheck: {len(problems)} broken link(s) or path(s) in "
+              f"{checked}")
         return 1
-    print(f"linkcheck: all links resolve in {checked}")
+    print(f"linkcheck: all links and paths resolve in {checked}")
     return 0
 
 
