@@ -11,12 +11,14 @@ twice:
 
 * the **table** path — :func:`try_password_against_reply` per guess,
   exactly as the attack matrix runs it.  Every guess derives a fresh key,
-  so the table backend pays its worst case: a full ``derive_subkeys``
-  plus per-block trial decryption, per candidate.
+  so the table backend pays its worst case: a fresh ``derive_subkeys``
+  (eight table lookups and one unpack, under half a block's cost) for
+  every candidate key, plus the trial decryption.
 
 * the **bitslice** path — guesses flow in lanes-wide batches through
   :func:`repro.crypto.keys.string_to_key_many` and
-  :mod:`repro.crypto.des_bitslice`.  The captured ciphertext is constant
+  :mod:`repro.crypto.des_bitslice`, whose S-boxes are the gate circuits
+  of :mod:`repro.crypto.sbox_circuits`.  The captured ciphertext is constant
   across lanes (a constant's lane form is free —
   :func:`~repro.crypto.des_bitslice.broadcast_block`), the sealed length
   field is range-checked by a sliced 32-bit comparator, and only the

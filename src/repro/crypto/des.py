@@ -23,7 +23,9 @@ of this changes the function computed:
   an E-form half back to the byte it carries, ahead of the 8×256 FP
   byte tables;
 * the key schedule is eight byte-table lookups: each key byte's share
-  of all 16 round keys is precomputed as one 768-bit integer;
+  of all 16 round keys is precomputed as one 1024-bit integer, a 64-bit
+  slot per round key, so one ``to_bytes`` and one ``struct`` unpack
+  split the OR of the eight into the round keys;
 * every block operation, in :mod:`repro.crypto.modes` and here, is one
   call of :func:`crypt_blocks`: a block's bytes go straight into E-form,
   and the CBC/PCBC chain stays in it (IP, E and FP commute with XOR).
@@ -46,6 +48,7 @@ Verified against the FIPS / Rivest test vectors in
 
 from __future__ import annotations
 
+import struct
 from collections import OrderedDict
 from typing import Dict, List, Sequence, Tuple
 
@@ -230,14 +233,16 @@ def _selection_masks(table: Sequence[int], width_in: int) -> List[int]:
     """Invert a FIPS-style bit selection into one mask per input bit.
 
     *table* lists, for each output bit (most significant first), the
-    1-based input bit that supplies it.  ``masks[j]`` has a bit set at
-    every output position that copies input bit ``j + 1``; input bits
-    that feed nothing (the key parity bits) get 0.
+    1-based input bit that supplies it, or 0 for an output bit that is
+    always clear.  ``masks[j]`` has a bit set at every output position
+    that copies input bit ``j + 1``; input bits that feed nothing (the
+    key parity bits) get 0.
     """
     width = len(table)
     masks = [0] * width_in
     for out_pos, src in enumerate(table):
-        masks[src - 1] |= 1 << (width - 1 - out_pos)
+        if src:
+            masks[src - 1] |= 1 << (width - 1 - out_pos)
     return masks
 
 
@@ -264,7 +269,8 @@ def _byte_tables(table: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
 
 
 def _schedule_selection() -> Tuple[int, ...]:
-    """The key bit behind each of the 768 bits of the 16 round keys.
+    """The key bit behind each of the 1024 bits of the 16 round-key
+    slots: per round, 16 clear bits, then the 48-bit round key.
 
     PC-1 loads C and D, each round rotates them left, and PC-2 reads the
     round key out: index arithmetic only, run once on bit positions.
@@ -275,6 +281,7 @@ def _schedule_selection() -> Tuple[int, ...]:
         c = c[shift:] + c[:shift]
         d = d[shift:] + d[:shift]
         cd = c + d
+        selection.extend([0] * 16)
         selection.extend(cd[src - 1] for src in _PC2)
     return tuple(selection)
 
@@ -288,11 +295,12 @@ _IP_TAB = _byte_tables(
 _FP_TAB = _byte_tables(_FP)
 
 #: ``_KS_TAB[i][b]``: key byte *i* holding *b*, contributing to all 16
-#: round keys at once — round key *r* (from 0) sits at bits
-#: ``48 * (15 - r)`` of one 768-bit integer.
+#: round keys at once — round key *r* (from 0) fills the low 48 bits of
+#: the 64-bit slot at bits ``64 * (15 - r)`` of one 1024-bit integer.
 _KS_TAB = _byte_tables(_schedule_selection())
-_KS_SHIFTS = tuple(48 * (15 - r) for r in range(16))
-_MASK48 = (1 << 48) - 1
+#: Splits the 128 bytes of a packed schedule into its 16 slots, round 0
+#: first.
+_UNPACK_SCHEDULE = struct.Struct(">16Q").unpack
 
 
 def _build_spe_tables() -> Tuple[Tuple[int, ...], ...]:
@@ -344,7 +352,8 @@ def derive_subkeys(key: bytes) -> Tuple[int, ...]:
 
     Parity bits (the least significant bit of each key byte) are ignored,
     exactly as in the standard.  Eight byte-table lookups give all 16
-    round keys packed in one integer; see :data:`_KS_TAB`.
+    round keys packed in one integer, a 64-bit slot each, and one
+    unpack splits them; see :data:`_KS_TAB`.
     """
     if len(key) != KEY_SIZE:
         raise DesError(f"DES key must be {KEY_SIZE} bytes, got {len(key)}")
@@ -353,8 +362,7 @@ def derive_subkeys(key: bytes) -> Tuple[int, ...]:
         ks[0][key[0]] | ks[1][key[1]] | ks[2][key[2]] | ks[3][key[3]]
         | ks[4][key[4]] | ks[5][key[5]] | ks[6][key[6]] | ks[7][key[7]]
     )
-    mask = _MASK48
-    return tuple([(packed >> shift) & mask for shift in _KS_SHIFTS])
+    return _UNPACK_SCHEDULE(packed.to_bytes(128, "big"))
 
 
 class _OpCounter:

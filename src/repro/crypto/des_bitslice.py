@@ -24,14 +24,13 @@ Three structural wins fall out of the sliced layout:
   by running PC-1, the rotations, and PC-2 *symbolically* over the
   indices 0..63.  Deriving N schedules costs N× nothing.
 
-* **S-boxes become straight-line gate code.**  Each S-box is compiled at
-  import into a Python function of ~206 bitwise operations
-  (:func:`_sbox_source`): all 64 minterms of the 6 sliced inputs are
-  built with a shared product tree (124 ANDs), grouped by the box's
-  4-bit output value (16 ORs of 4 terms), and each output bit is the OR
-  of the 8 groups whose value sets it.  ``exec``-compiling the source
-  keeps the hot loop free of any per-gate interpreter dispatch beyond
-  the bytecode itself.
+* **S-boxes become straight-line gate code.**  Each S-box is a plain
+  Python function of 61–94 AND/OR/XOR gates (639 for all eight) in
+  :mod:`repro.crypto.sbox_circuits`.  ``tools/synth_sboxes.py`` found
+  them once, by Shannon decomposition of each output bit's 64-entry
+  truth table with every table already built in the box shared across
+  its four outputs, and committed them, so importing the backend does
+  no search and the hot loop runs the bytecode of the gates alone.
 
 * **Every lane may use a different key.**  Round keys are lane selections
   from the sliced key material, so a batch of N *distinct* password
@@ -45,7 +44,7 @@ pinned by property tests in ``tests/test_crypto_bitslice.py``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple, cast
+from typing import List, Sequence, Tuple
 
 from repro.crypto.bits import transpose_in, transpose_out
 from repro.crypto.des import (
@@ -55,13 +54,13 @@ from repro.crypto.des import (
     _P,
     _PC1,
     _PC2,
-    _SBOXES,
     _SHIFTS,
     BLOCK_OPS,
     BLOCK_SIZE,
     KEY_SIZE,
     DesError,
 )
+from repro.crypto.sbox_circuits import SBOXES
 
 __all__ = [
     "BitslicedKeys",
@@ -101,63 +100,6 @@ def _key_schedule_sources() -> Tuple[Tuple[int, ...], ...]:
 
 
 _KS_SOURCE = _key_schedule_sources()
-
-
-# --- S-box circuit compilation ----------------------------------------------
-
-_SboxFn = Callable[[int, int, int, int, int, int, int], Tuple[int, int, int, int]]
-
-
-def _sbox_source(box: Sequence[int]) -> str:
-    """Generate straight-line gate code for one S-box.
-
-    Inputs ``a0..a5`` are the six sliced input bits (``a0`` the most
-    significant of the 6-bit index, matching the E-expansion order) and
-    ``m`` the all-lanes mask (NOT is ``x ^ m``).  Returns the four sliced
-    output bits, most significant first.
-    """
-    lines = ["def _sbox(a0, a1, a2, a3, a4, a5, m):"]
-    for var in range(6):
-        lines.append(f"    n{var} = a{var} ^ m")
-    # Product tree: terms[v] is the minterm selecting input value v, with
-    # a0 as bit 5 of v.  Levels share prefixes, so 64 minterms cost
-    # 4 + 8 + 16 + 32 + 64 = 124 ANDs.
-    terms = ["n0", "a0"]
-    for var in range(1, 6):
-        grown: List[str] = []
-        for value, prefix in enumerate(terms):
-            for bit in range(2):
-                name = f"t{var}_{(value << 1) | bit}"
-                operand = f"a{var}" if bit else f"n{var}"
-                lines.append(f"    {name} = {prefix} & {operand}")
-                grown.append(name)
-        terms = grown
-    # Group minterms by the box's output nibble (row = outer bits, col =
-    # middle four, as in FIPS 46), then build each output bit as the OR
-    # of the groups whose value sets it.
-    groups: Dict[int, List[str]] = {}
-    for value, term in enumerate(terms):
-        row = ((value >> 5) << 1) | (value & 1)
-        col = (value >> 1) & 0xF
-        groups.setdefault(box[row * 16 + col], []).append(term)
-    for nibble in sorted(groups):
-        lines.append(f"    g{nibble} = {' | '.join(groups[nibble])}")
-    outs = []
-    for bit in range(4):
-        parts = [f"g{n}" for n in sorted(groups) if (n >> (3 - bit)) & 1]
-        outs.append(" | ".join(parts) if parts else "0")
-    lines.append(f"    return ({outs[0]}, {outs[1]}, {outs[2]}, {outs[3]})")
-    return "\n".join(lines)
-
-
-def _compile_sbox(box: Sequence[int]) -> _SboxFn:
-    namespace: Dict[str, object] = {}
-    code = compile(_sbox_source(box), "<repro.crypto.des_bitslice>", "exec")
-    exec(code, namespace)
-    return cast(_SboxFn, namespace["_sbox"])
-
-
-_SBOX_FN: Tuple[_SboxFn, ...] = tuple(_compile_sbox(box) for box in _SBOXES)
 
 
 # --- the sliced cipher -------------------------------------------------------
@@ -200,7 +142,7 @@ def _crypt_lanes(
     """Sixteen Feistel rounds over 64 lane integers (IP/FP included)."""
     bits = [state[src] for src in _IP_SRC]
     left, right = bits[:32], bits[32:]
-    sboxes = _SBOX_FN
+    sboxes = SBOXES
     e_src = _E_SRC
     p_src = _P_SRC
     for round_keys in rounds:

@@ -134,13 +134,19 @@ def string_to_key(password: str, salt: str = "") -> bytes:
 
 
 #: Below this many same-length candidates the sliced CBC checksum loses to
-#: the table-driven path; fall back to scalar derivation.  Measured on
-#: CPython 3.11, 2-vCPU Xeon VM, scalar over batched µs/key (median of 25
-#: alternating rounds): one-block (8-byte padded) passwords 0.95 at 128
-#: (quartiles 0.88–1.02, so a tie), 1.08 at 144, 1.18 at 192; two-block
-#: 0.94–0.98 at 128, 1.24 at 192.  Scalar wins ~7× at 8 candidates, and
-#: batched keeps gaining with width: 24 vs 15 µs/key at 256.
-_BATCH_FLOOR = 128
+#: the table-driven path, or wins by less than its spread; fall back to
+#: scalar derivation.  Measured on CPython 3.11, 2-vCPU Xeon VM, scalar
+#: over batched µs/key (median [quartiles] of 25 alternating rounds, fresh
+#: candidates each round; a range spans repeated runs): one-block (8-byte
+#: padded) passwords 1.18–1.27 at 64 [lower quartiles 1.04–1.14],
+#: 1.59–1.76 at 96 [1.33–1.60], 1.82–1.93 at 128; two-block 0.88–1.12 at
+#: 64 [0.82–1.03], 1.09 at 80 [1.05–1.41], 1.27–1.60 at 96 [1.17–1.47],
+#: 1.51–1.87 at 128.  Scalar wins ~2.5× at 8 candidates and ~1.5–2× at
+#: 32, and batched keeps gaining with width: 10 vs 30 µs/key at 256.  The
+#: floor was 128 before the gate-circuit S-boxes and the one-unpack key
+#: schedule; that tree read 1.06 / 0.90 at 96 and 1.38 / 1.20 at 128
+#: (one- / two-block) on the same box.
+_BATCH_FLOOR = 96
 
 
 def string_to_key_many(passwords: Sequence[str], salt: str = "") -> List[bytes]:

@@ -21,6 +21,7 @@ happily accept stale authenticators (E4).
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
@@ -67,9 +68,13 @@ _Key = Tuple[str, int, bytes]
 class ReplayCache:
     """Server-side store of live authenticators.
 
-    Keyed on (client, timestamp, checksum-of-authenticator-bytes); entries
-    expire once older than the authenticator lifetime plus skew, so the
-    cache stays bounded — that growth is measured by benchmark E14.
+    Keyed on (client, timestamp, fingerprint), where the validator's
+    fingerprint is the 16-byte BLAKE2b digest of the sealed authenticator
+    bytes: two authenticators that differ in any bit are two entries.
+    The digest only names cache entries and never goes on the wire, so
+    it need not be a protocol checksum.  Entries expire once older than
+    the authenticator lifetime plus skew, so the cache stays bounded —
+    that growth is measured by benchmark E14.
 
     Expiry pops a min-heap of ``(timestamp, key)`` kept beside the
     entries, so a check costs the entries it expires rather than a scan
@@ -222,7 +227,8 @@ def validate_authenticator(
             raise ValidationError(
                 "no-replay-cache", "config demands caching but server has none"
             )
-        fingerprint = compute(ChecksumType.MD4, authenticator_bytes)
+        fingerprint = hashlib.blake2b(authenticator_bytes,
+                                      digest_size=16).digest()
         if not replay_cache.check_and_store(
             str(authenticator.client), authenticator.timestamp,
             fingerprint, now, window,

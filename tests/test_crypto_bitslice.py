@@ -1,8 +1,9 @@
 """The bitsliced DES engine against the per-bit reference.
 
 :mod:`repro.crypto.des_bitslice` computes N blocks per call — bit *i*
-of every block packed into one big integer, S-boxes as compiled boolean
-algebra, the key schedule as free selection from the sliced key bits.
+of every block packed into one big integer, S-boxes as the committed
+gate circuits of :mod:`repro.crypto.sbox_circuits`, the key schedule as
+free selection from the sliced key bits.
 None of that layout is allowed to show through: on the published
 vectors, on random keys/blocks at every lane width, through both
 chaining modes, and through batched ``string_to_key``, the sliced form
@@ -11,17 +12,21 @@ tests are the contract that lets ``python -m repro crack`` and the
 load harness's bitslice cost model trust the engine blindly.
 """
 
+import ast
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import des, des_bitslice, des_reference, keys
+from repro.crypto import des, des_bitslice, des_reference, keys, sbox_circuits
 from repro.crypto.bits import transpose_in, transpose_out
 from repro.crypto.des_bitslice import (
     BitslicedKeys, broadcast_block, decrypt_block, decrypt_blocks,
     encrypt_block, encrypt_blocks,
 )
 from repro.crypto.keys import string_to_key, string_to_key_many
+from repro.crypto.sbox_circuits import SBOXES
 
 # The same published vectors the fast path is pinned to.
 VECTORS = [
@@ -64,6 +69,38 @@ def test_transpose_rejects_wrong_shapes():
         transpose_in([b"short"])
     with pytest.raises(ValueError):
         transpose_out([0] * 63, 1)
+
+
+# -- S-box circuits ---------------------------------------------------------
+
+#: Input ``a{i}`` in 64-lane form: lane *v* carries bit ``5 - i`` of *v*,
+#: so one call evaluates a circuit on every 6-bit S-box input at once.
+INDEX_LANES = [
+    sum(1 << v for v in range(64) if (v >> (5 - i)) & 1) for i in range(6)
+]
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_sbox_circuit_matches_its_table(index):
+    outputs = SBOXES[index](*INDEX_LANES, (1 << 64) - 1)
+    box = des._SBOXES[index]
+    for v in range(64):
+        value = sum(((outputs[bit] >> v) & 1) << (3 - bit) for bit in range(4))
+        row, col = ((v >> 5) << 1) | (v & 1), (v >> 1) & 0xF
+        assert value == box[row * 16 + col], (index + 1, v)
+
+
+def test_sbox_circuits_stay_small():
+    """Every gate is one binary operation in a straight-line function;
+    the committed circuits have 639 in all (the minterm expansion they
+    replaced had 1,648), and a regenerated module may not grow back."""
+    tree = ast.parse(inspect.getsource(sbox_circuits))
+    functions = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)]
+    assert len(functions) == 8
+    gates = sum(isinstance(node, ast.BinOp)
+                for function in functions for node in ast.walk(function))
+    assert gates <= 850
 
 
 # -- block identity ---------------------------------------------------------

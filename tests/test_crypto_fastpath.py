@@ -70,6 +70,19 @@ def test_key_schedule_matches_reference_on_random_keys(key):
     assert derive_subkeys(key) == des_reference.derive_subkeys(key)
 
 
+def test_key_schedule_matches_reference_for_every_byte_value():
+    """Every round-key bit copies exactly one key bit, so the eight key
+    bytes contribute disjoint bits and a schedule is the OR of eight
+    one-byte schedules.  Each key below has one nonzero byte: the 8 × 256
+    of them pin every entry of ``_KS_TAB``, round-key slots included,
+    and so the schedule of every key."""
+    for position in range(8):
+        for value in range(256):
+            key = bytes(position) + bytes([value]) + bytes(7 - position)
+            assert derive_subkeys(key) == des_reference.derive_subkeys(key), (
+                position, value)
+
+
 @given(key8, key8)
 @settings(max_examples=30, deadline=None)
 def test_shared_subkeys_one_block_both_paths(key, block):

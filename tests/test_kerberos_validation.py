@@ -1,11 +1,13 @@
 """Each authenticator/ticket check, exercised individually."""
 
+import importlib
 from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import checksum as checksum_module
 from repro.crypto.checksum import ChecksumType, compute
 from repro.kerberos.config import ProtocolConfig
 from repro.kerberos.principal import Principal
@@ -14,6 +16,9 @@ from repro.kerberos.validation import (
     LruReplayCache, ReplayCache, ValidationError, validate_authenticator,
 )
 from repro.sim.clock import MINUTE
+
+# ``repro.crypto.md4`` the attribute is the function; this is the module.
+md4_module = importlib.import_module("repro.crypto.md4")
 
 NOW = 100 * MINUTE
 CONFIG = ProtocolConfig.v4()
@@ -118,6 +123,34 @@ def test_replay_cache_blocks_second_use():
     with pytest.raises(ValidationError) as excinfo:
         validate(ticket, authenticator, config=config, cache=cache)
     assert excinfo.value.reason == "replay"
+
+
+def test_replay_fingerprint_is_a_digest_of_every_bit_without_md4(monkeypatch):
+    """The cache names an authenticator by a 16-byte digest of its
+    sealed bytes: a byte-identical replay is refused, one flipped bit
+    under the same client and timestamp is a new entry, and no check
+    runs the pure-Python MD4."""
+    def refuse(data):
+        raise AssertionError("the replay check ran MD4")
+
+    monkeypatch.setattr(md4_module, "md4", refuse)
+    monkeypatch.setattr(checksum_module, "md4", refuse)
+    config = CONFIG.but(replay_cache=True)
+    cache = ReplayCache()
+    ticket, authenticator = make_pair()
+    sealed = bytes(range(40))
+    flipped = sealed[:-1] + bytes([sealed[-1] ^ 1])
+    validate(ticket, authenticator, config=config, cache=cache,
+             auth_bytes=sealed)
+    validate(ticket, authenticator, config=config, cache=cache,
+             auth_bytes=flipped)
+    assert len(cache) == 2
+    with pytest.raises(ValidationError) as excinfo:
+        validate(ticket, authenticator, config=config, cache=cache,
+                 auth_bytes=sealed)
+    assert excinfo.value.reason == "replay"
+    assert len(cache) == 2
+    assert {len(fingerprint) for _, _, fingerprint in cache._entries} == {16}
 
 
 def test_replay_cache_required_when_configured():
