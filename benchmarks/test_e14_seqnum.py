@@ -6,10 +6,14 @@ concurrent sessions or cross-stream replay works; sequence numbers make
 the cache "a simple last-message counter", detect deletions, and kill
 cross-stream replay.  Also: Draft 3's millisecond resolution "is far too
 coarse" — rapid senders collide with their own earlier messages.
+Rec. (d)'s IV half, chained IVs, would "allow detection of message
+deletions" and avoid "both the dependence on a clock and the need to
+cache recent timestamps".
 """
 
 from repro import Testbed, ProtocolConfig
 from repro.analysis import cache_growth, render_table
+from repro.analysis.iv_chain import comparison_rows
 from repro.attacks import cross_session_replay, deletion_detection
 from repro.kerberos.client import KerberosError
 
@@ -56,6 +60,7 @@ def test_e14_seqnum(benchmark, experiment_output):
     deletion_sq = deletion_detection(
         ProtocolConfig.v4().but(use_sequence_numbers=True), seed=143,
     )
+    mechanisms = comparison_rows()
 
     growth_rows = [
         (count, ts_state, sq_state)
@@ -79,6 +84,12 @@ def test_e14_seqnum(benchmark, experiment_output):
              f"{collided} rejected as replays", "none (counters)"),
         ],
     )
+    text += "\n\n" + render_table(
+        "E14c: one KRB_PRIV channel under each mechanism (rec. d)",
+        ["mechanism", "replay", "deletion", "clock-free",
+         "state after 20 msgs"],
+        mechanisms,
+    )
     experiment_output("e14_seqnum", text)
 
     assert [state for _c, state in ts] == MESSAGE_COUNTS       # O(n)
@@ -86,3 +97,5 @@ def test_e14_seqnum(benchmark, experiment_output):
     assert cross_ts.succeeded and not cross_sq.succeeded
     assert deletion_ts.succeeded and not deletion_sq.succeeded
     assert collided > 0  # the coarse-resolution problem is real
+    chained = {row[0]: row[1:] for row in mechanisms}["chained IVs"]
+    assert chained == ("blocked", "detected", "yes", "1 entry")

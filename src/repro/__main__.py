@@ -8,8 +8,6 @@ Commands:
 * ``demo``        — the quickstart flow with a wire trace;
 * ``audit``       — re-run one scenario with defender telemetry attached
   and print the event log, metrics, and detectability verdict;
-* ``perf``        — micro-benchmark the crypto fast path, the modes, a
-  full exchange, and the matrix, writing ``BENCH_crypto.json``;
 * ``crack``       — benchmark the paper's offline dictionary attack
   against recorded AS replies, table-driven vs bitsliced backends,
   writing ``BENCH_crack.json`` (guesses/s, lane width, speedup);
@@ -41,7 +39,7 @@ Commands:
 
 Everything is deterministic; no (real) network, no state left behind
 except the files explicitly written: ``audit --jsonl``'s event log,
-the benchmark reports of ``perf`` and ``load``, and ``monitor``'s
+the benchmark reports of ``crack`` and ``load``, and ``monitor``'s
 Chrome trace JSON.
 """
 
@@ -132,16 +130,6 @@ def _cmd_demo(_args) -> int:
     print("wire trace:")
     print(wire_summary(bed.adversary.log))
     return 0
-
-
-def _cmd_perf(args) -> int:
-    from repro.perf import render_report, run_perf
-
-    print("benchmarking the crypto fast path"
-          + (" (quick)" if args.quick else "") + "...\n")
-    report = run_perf(quick=args.quick, out_path=args.out)
-    print(render_report(report))
-    return 0 if report["matrix"]["hardened_clean"] else 1
 
 
 def _cmd_crack(args) -> int:
@@ -433,17 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jsonl", metavar="PATH",
         help="also write every event to PATH as JSON lines",
     )
-    perf = sub.add_parser(
-        "perf", help="micro-benchmark the crypto fast path and the matrix"
-    )
-    perf.add_argument(
-        "--quick", action="store_true",
-        help="CI-smoke sizes: under a second instead of a few seconds",
-    )
-    perf.add_argument(
-        "--out", default="BENCH_crypto.json", metavar="PATH",
-        help="benchmark report path (default: BENCH_crypto.json)",
-    )
     crack = sub.add_parser(
         "crack", help="benchmark the offline dictionary attack, "
                       "table-driven vs bitsliced"
@@ -715,7 +692,6 @@ def main(argv=None) -> int:
         "experiments": _cmd_experiments,
         "demo": _cmd_demo,
         "audit": _cmd_audit,
-        "perf": _cmd_perf,
         "crack": _cmd_crack,
         "lint": _cmd_lint,
         "check": _cmd_check,

@@ -51,7 +51,6 @@ __all__ = [
     "mail_check_capture",
     "replay_ap_request",
     "replay_data_message",
-    "captured_requests",
     "cross_session_replay",
     "deletion_detection",
     "udp_retransmission_false_alarm",
@@ -77,11 +76,6 @@ def mail_check_capture(
     ap = bed.adversary.recorded(service=service, direction="request")
     data = bed.adversary.recorded(service=service + "-data", direction="request")
     return ap, data
-
-
-def captured_requests(bed: Testbed, service: str) -> List[WireMessage]:
-    """Everything the adversary recorded going *to* a service."""
-    return bed.adversary.recorded(service=service, direction="request")
 
 
 def replay_ap_request(

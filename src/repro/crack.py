@@ -60,9 +60,9 @@ from repro.testbed import Testbed
 __all__ = ["DEFAULT_LANES", "run_crack", "render_crack"]
 
 #: Default lane width.  The big-int boolean core keeps gaining up to a
-#: few thousand lanes (BENCH_crypto.json's ``bitslice`` section shows the
-#: curve); 2048 sits at the knee without making batches so large that a
-#: short dictionary underfills them.
+#: few thousand lanes (``crack --lanes N`` over N traces the curve);
+#: 2048 sits at the knee without making batches so large that a short
+#: dictionary underfills them.
 DEFAULT_LANES = 2048
 
 #: Sized so a --quick run stays under a second yet still exercises

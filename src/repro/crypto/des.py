@@ -511,7 +511,7 @@ def get_schedule(key: bytes) -> KeySchedule:
 
 
 def schedule_cache_info() -> Dict[str, int]:
-    """Hits, misses, and current size — for tests and ``repro perf``."""
+    """Hits, misses, and current size of the schedule cache (for tests)."""
     return {
         "hits": _cache_hits,
         "misses": _cache_misses,

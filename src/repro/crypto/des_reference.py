@@ -7,14 +7,14 @@ key schedule all go through the generic
 exactly as FIPS 46 writes them down.  :mod:`repro.crypto.des` replaced
 that path with byte-indexed lookup tables fused at import time; the two
 must compute the identical function, and the property tests in
-``tests/test_crypto_fastpath.py`` (plus the E27 benchmark) hold them to
-it on the published vectors and on random keys and blocks — the block
-function and the key schedule each on their own.
+``tests/test_crypto_fastpath.py`` hold them to it on the published
+vectors and on random keys and blocks — the block function and the key
+schedule each on their own.
 
 The reference path deliberately does **not** touch
 :data:`repro.crypto.des.BLOCK_OPS` — it exists only for verification and
-for the ``python -m repro perf`` speedup baseline, never for protocol
-traffic, so it must not perturb the cost accounting of E18.
+for E27's speedup baseline, never for protocol traffic, so it must not
+perturb the cost accounting of E18.
 
 The FIPS tables themselves (IP, FP, E, P, the S-boxes, PC-1/PC-2) live
 in :mod:`repro.crypto.des` and are imported here; they are data, not an

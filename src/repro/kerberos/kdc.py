@@ -223,20 +223,8 @@ class Kdc:
             handheld_r = self.rng.random_bytes(8)
             reply_key = set_odd_parity(ecb_encrypt(client_key, handheld_r))
 
-        enc_part = messages.seal(
-            config.codec.encode(KDC_REP_ENC, {
-                "session_key": session_key,
-                "server": str(server),
-                "nonce": request["nonce"] if config.as_rep_nonce else 0,
-                "issued_at": ticket.issued_at,
-                "lifetime": ticket.lifetime,
-                "ticket_checksum": (
-                    ck.compute(ChecksumType.MD4, sealed_ticket)
-                    if config.kdc_reply_ticket_checksum else b""
-                ),
-            }),
-            reply_key, config, self.rng,
-        )
+        enc_part = self._reply_enc_part(ticket, sealed_ticket, reply_key,
+                                        request["nonce"])
 
         dh_public = b""
         if config.dh_login and request["dh_public"]:
@@ -530,13 +518,12 @@ class Kdc:
             tgt.session_key, request["nonce"], exchange="forward",
         )
 
-    def _kdc_reply(
-        self, schema, client: Principal, ticket: Ticket,
-        sealed_ticket: bytes, reply_key: bytes, nonce: int,
-        exchange: str = "tgs",
-    ) -> bytes:
+    def _reply_enc_part(self, ticket: Ticket, sealed_ticket: bytes,
+                        reply_key: bytes, nonce: int) -> bytes:
+        """The sealed ``KDC_REP_ENC`` part of an AS or TGS reply (its ticket
+        checksum is appendix rec. (c), the ticket-substitution defense)."""
         config = self.config
-        enc_part = messages.seal(
+        return messages.seal(
             config.codec.encode(KDC_REP_ENC, {
                 "session_key": ticket.session_key,
                 "server": str(ticket.server),
@@ -550,10 +537,18 @@ class Kdc:
             }),
             reply_key, config, self.rng,
         )
+
+    def _kdc_reply(
+        self, schema, client: Principal, ticket: Ticket,
+        sealed_ticket: bytes, reply_key: bytes, nonce: int,
+        exchange: str = "tgs",
+    ) -> bytes:
+        config = self.config
         reply = config.codec.encode(schema, {
             "client": str(client),
             "ticket": sealed_ticket,
-            "enc_part": enc_part,
+            "enc_part": self._reply_enc_part(ticket, sealed_ticket,
+                                             reply_key, nonce),
             "dh_public": b"",
             "handheld_r": b"",
         })

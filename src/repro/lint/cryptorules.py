@@ -90,12 +90,11 @@ CRYPTO_COLUMN = "(crypto)"
 CRYPTO_PAPER_SECTION = "Key management"
 
 #: Files allowed to call ``ecb_encrypt``/``ecb_decrypt``: the mode's
-#: definition site, the perf harness that benchmarks it, and the
-#: handheld challenge-reply path (KDC + client + authenticator device),
-#: which encrypts exactly one block by construction.
+#: definition site and the handheld challenge-reply path (KDC + client
+#: + authenticator device), which encrypts exactly one block by
+#: construction.
 ECB_ALLOWED_FILES: FrozenSet[str] = frozenset({
     "src/repro/crypto/modes.py",
-    "src/repro/perf.py",
     "src/repro/hardware/handheld.py",
     "src/repro/kerberos/kdc.py",
     "src/repro/kerberos/client.py",

@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, List, Sequence, Tuple
 from repro.lint.engine import CodeModel
 
 __all__ = ["Severity", "Finding", "EvidenceSite", "CodeRule",
-           "run_code_rules", "sort_findings", "worst_severity"]
+           "run_code_rules", "sort_findings"]
 
 
 class Severity(enum.Enum):
@@ -113,8 +113,3 @@ def sort_findings(findings: Sequence[Finding]) -> List[Finding]:
         findings,
         key=lambda f: (f.column, -f.severity.rank, f.rule_id, f.file, f.line),
     )
-
-
-def worst_severity(findings: Sequence[Finding]) -> int:
-    """Highest severity rank present (-1 when there are no findings)."""
-    return max((f.severity.rank for f in findings), default=-1)

@@ -29,7 +29,7 @@ Six rules, each backed by a fact family the engine records
 ``DET-WALLCLOCK``
     A wall-clock read (``time.time``/``perf_counter``/
     ``datetime.now``...) outside the wall-budget allowlist — the files
-    whose *job* is to measure host wall time (perf harness, load
+    whose *job* is to measure host wall time (crack guesses/s, load
     harness throughput lines, monitor overhead guard).  Anywhere else,
     wall time feeding behavior means two runs can diverge.
 ``DET-HASH-SEED``
@@ -92,7 +92,6 @@ SIM_PAPER_SECTION = "Reproducibility"
 #: it (and they label the result informational, outside the
 #: deterministic report surface).
 WALL_BUDGET_FILES: FrozenSet[str] = frozenset({
-    "src/repro/perf.py",
     "src/repro/load.py",
     "src/repro/monitor.py",
     "src/repro/crack.py",
@@ -256,7 +255,7 @@ SIM_RULES: Tuple[CodeRule, ...] = (
         description=(
             "Host wall-clock reads (time.time, perf_counter, "
             "datetime.now...) differ between runs, so any behavior "
-            "they feed breaks seed-determinism.  Only the perf/load/"
+            "they feed breaks seed-determinism.  Only the crack/load/"
             "monitor measurement files may read wall time, and only "
             "for informational throughput lines outside the "
             "deterministic report surface."

@@ -8,8 +8,7 @@ layer measured, not assumed.  This harness drives the sharded cluster
 numbers a capacity plan needs: p50/p95/p99 latency, throughput,
 degradation under fault injection, and whether the bounded per-shard
 replay caches still reject a replayed authenticator at load.  Results
-land in ``BENCH_kdc.json`` — the protocol-level companion to
-``BENCH_crypto.json``.
+land in ``BENCH_kdc.json``.
 
 How time works here: the harness runs on the discrete-event scheduler
 (:mod:`repro.sim.sched`).  Each workload unit (one login + service
